@@ -36,8 +36,14 @@ class WireFormatError(ReproError):
     """A serialized report frame or checkpoint cannot be decoded.
 
     Raised for truncated/corrupted buffers, wire-format version mismatches,
-    unknown report kinds and payloads whose fields fail dtype/shape
-    validation."""
+    unknown report kinds and payloads whose fields fail layout or alphabet
+    validation.  Report-frame rejections carry a short ``reason`` —
+    ``"alphabet"``, ``"length"``, ``"version"`` or ``"kind"`` — that the
+    collection server counts them under."""
+
+    def __init__(self, *args, reason: str = None):
+        super().__init__(*args)
+        self.reason = reason
 
 
 class CheckpointIntegrityError(WireFormatError):

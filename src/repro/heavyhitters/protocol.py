@@ -43,7 +43,13 @@ from ..protocols.base import (
 from ..protocols.inp_ht import InpHT, InpHTReports
 from ..protocols.inp_htcms import InpHTCMS, InpHTCMSReports
 from ..protocols.inp_olh import InpOLH, InpOLHReports
-from ..protocols.wire import ReportField, WireCodableReports, register_report_schema
+from ..protocols.wire import (
+    RAW,
+    ReportField,
+    WireCodableReports,
+    index,
+    register_report_schema,
+)
 from .discovery import DiscoveryConfig, HeavyHitterEstimator
 
 __all__ = ["HeavyHitters", "HeavyHitterReports", "HeavyHittersAccumulator"]
@@ -79,9 +85,9 @@ register_report_schema(
     "HH",
     HeavyHitterReports,
     fields=(
-        ReportField("levels", np.int64),
-        ReportField("int_data", np.int64, ndim=2),
-        ReportField("float_data", np.float64, ndim=2),
+        ReportField("levels", np.int64, index("levels")),
+        ReportField("int_data", np.int64, RAW, ndim=2, extent="int columns"),
+        ReportField("float_data", np.float64, RAW, ndim=2, extent="float columns"),
     ),
 )
 
@@ -147,11 +153,6 @@ class HeavyHittersAccumulator(Accumulator):
         levels = np.asarray(reports.levels, dtype=np.int64)
         int_data = np.asarray(reports.int_data, dtype=np.int64)
         float_data = np.asarray(reports.float_data, dtype=np.float64)
-        num_levels = len(self._inner)
-        if levels.size and (levels.min() < 0 or levels.max() >= num_levels):
-            raise AggregationError(
-                f"report levels must lie in [0, {num_levels})"
-            )
         int_columns, float_columns = _REPORT_COLUMNS[self._oracle_name]
         if int_data.shape[1] != int_columns or float_data.shape[1] != float_columns:
             raise AggregationError(
@@ -408,6 +409,35 @@ class HeavyHitters(MarginalReleaseProtocol):
         return HeavyHittersAccumulator(
             workload, plan, inner, self._oracle_name, self.discovery_config()
         )
+
+    def alphabet_sizes(self, dimension: int):
+        sizes = super().alphabet_sizes(dimension)
+        int_columns, float_columns = _REPORT_COLUMNS[self._oracle_name]
+        sizes.update(
+            {
+                "levels": len(self.level_plan(dimension)),
+                "int columns": int_columns,
+                "float columns": float_columns,
+            }
+        )
+        return sizes
+
+    def check_reports(self, reports, domain: Domain, decoded: bool = False) -> None:
+        """Check the level tags and column blocks, then every level's
+        inner oracle reports against that level's prefix domain (in full:
+        the raw column blocks guarantee nothing about them)."""
+        super().check_reports(reports, domain, decoded)
+        for level, bits in enumerate(self.level_plan(domain.dimension)):
+            members = reports.levels == level
+            if members.any():
+                self.level_protocol(bits).check_reports(
+                    _unpack_reports(
+                        self._oracle_name,
+                        reports.int_data[members],
+                        reports.float_data[members],
+                    ),
+                    Domain.binary(bits),
+                )
 
     def communication_bits(self, dimension: int) -> int:
         """The level tag plus the final (widest) level's oracle report."""

@@ -93,13 +93,11 @@ class DirectEncoding:
         """Per-category report counts — the mergeable aggregation state.
 
         Counts from different report batches add exactly, so sharded
-        aggregation and single-pass aggregation agree bit-for-bit.
+        aggregation and single-pass aggregation agree bit-for-bit.  Report
+        ranges are checked where reports enter the service
+        (``MarginalReleaseProtocol.check_reports``), not here.
         """
         reports = np.asarray(reports, dtype=np.int64)
-        if reports.size and (reports.min() < 0 or reports.max() >= self.domain_size):
-            raise ProtocolConfigurationError(
-                f"reports must lie in [0, {self.domain_size})"
-            )
         return np.bincount(reports, minlength=self.domain_size)
 
     def unbias_counts(self, counts: np.ndarray, num_users: int) -> np.ndarray:

@@ -88,6 +88,19 @@ class Tracer:
             return _NULL_SPAN
         return Span(self, name)
 
+    def record(self, name: str, seconds: float, **fields: Any) -> None:
+        """Record an already-measured stage as a span; no-op while disabled.
+
+        For stages too fine-grained to wrap one by one: the caller sums the
+        time of several short calls and records them as one span.
+        """
+        if not _STATE.enabled:
+            return
+        span = Span(self, name)
+        span.duration_seconds = float(seconds)
+        span.fields.update(fields)
+        self._record(span)
+
     def _record(self, span: Span) -> None:
         with self._lock:
             self._ring.append(span)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -53,6 +54,7 @@ from ..core.marginals import MarginalTable, MarginalWorkload, marginal_operator
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng, spawn_rngs
 from ..datasets.base import BinaryDataset, record_indices
+from . import wire
 
 __all__ = [
     "MarginalEstimator",
@@ -319,7 +321,13 @@ class Accumulator(abc.ABC):
         return self._num_reports
 
     def update(self, reports) -> "Accumulator":
-        """Fold one batch of client reports into this state; returns ``self``."""
+        """Fold one batch of client reports into this state; returns ``self``.
+
+        The batch's values are trusted: untrusted reports enter through
+        :class:`~repro.service.AggregationSession` or ``decode_reports(frame,
+        domain)``, which check them against the spec's alphabets
+        (:meth:`MarginalReleaseProtocol.check_reports`) before any fold.
+        """
         users = int(reports.num_users)
         if users < 0:
             raise AggregationError(f"report batch has negative size {users}")
@@ -528,16 +536,46 @@ class MarginalReleaseProtocol(abc.ABC):
 
         return ProtocolSpec.from_protocol(self)
 
-    def decode_reports(self, data):
+    def decode_reports(self, data, domain: Domain = None):
         """Decode one wire frame of this protocol's reports (see ``to_bytes``).
 
-        Validates the frame's magic/version/kind and every field's dtype and
-        shape; a frame from a different protocol raises
+        Validates the frame's magic/version/kind and its payload layout; a
+        frame from a different protocol raises
         :class:`~repro.core.exceptions.WireFormatError` naming both kinds.
+        With ``domain`` the batch is also checked against this spec's
+        alphabets (:meth:`check_reports`), so a batch that decodes here can
+        be folded without touching state it has no right to.
         """
-        from .wire import decode_reports
+        reports = wire.decode_reports(data, self.name)
+        if domain is not None:
+            self.check_reports(reports, domain, decoded=True)
+        return reports
 
-        return decode_reports(data, expected_kind=self.name)
+    def check_reports(self, reports, domain: Domain, decoded: bool = False) -> None:
+        """Raise :class:`~repro.core.exceptions.WireFormatError` unless every
+        field of ``reports`` lies in its alphabet under this spec over
+        ``domain`` (index ranges, extents, signs, bits and counts).
+
+        ``decoded`` marks a batch fresh from the wire decoder, whose layout
+        already guarantees everything but the spec-dependent checks.
+        """
+        wire.check_alphabet(
+            reports, self.alphabet_sizes(domain.dimension), decoded=decoded
+        )
+
+    def alphabet_sizes(self, dimension: int) -> Dict[str, int]:
+        """The spec quantities this protocol's report schema names.
+
+        Index alphabets and field extents refer to these by name (see
+        :class:`~repro.protocols.wire.ReportField`); protocols with their
+        own quantities (``|T|``, a hash range ``g``) extend the dict.
+        """
+        return {
+            "d": dimension,
+            "2^d": 1 << dimension,
+            "2^k": 1 << self._max_width,
+            "C(d,k)": math.comb(dimension, self._max_width),
+        }
 
     def session(self, domain: Domain):
         """A fresh :class:`~repro.service.AggregationSession` over ``domain``.

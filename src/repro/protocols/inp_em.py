@@ -37,7 +37,7 @@ from .base import (
     record_indices,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import BIT, ReportField, WireCodableReports, register_report_schema
 
 __all__ = ["EMDecodingResult", "EMEstimator", "InpEM", "InpEMReports", "InpEMAccumulator"]
 
@@ -214,7 +214,7 @@ class InpEMReports(WireCodableReports):
 register_report_schema(
     "InpEM",
     InpEMReports,
-    fields=(ReportField("noisy_records", np.int8, ndim=2),),
+    fields=(ReportField("noisy_records", np.int8, BIT, ndim=2, extent="d"),),
 )
 
 

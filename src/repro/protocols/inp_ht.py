@@ -21,6 +21,7 @@ better in ``d`` than the other input-based methods for small ``k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -40,7 +41,7 @@ from .base import (
     record_indices,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import SIGN, ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["InpHT", "InpHTReports", "InpHTAccumulator"]
 
@@ -66,8 +67,8 @@ register_report_schema(
     "InpHT",
     InpHTReports,
     fields=(
-        ReportField("choices", np.int64),
-        ReportField("noisy_values", np.float64),
+        ReportField("choices", np.int64, index("|T|")),
+        ReportField("noisy_values", np.float64, SIGN),
     ),
 )
 
@@ -89,10 +90,6 @@ class InpHTAccumulator(Accumulator):
 
     def _ingest(self, reports: InpHTReports) -> None:
         choices = np.asarray(reports.choices, dtype=np.int64)
-        if choices.size and (choices.min() < 0 or choices.max() >= self._alphas.size):
-            raise AggregationError(
-                f"coefficient choices must lie in [0, {self._alphas.size})"
-            )
         self._sums += np.bincount(
             choices, weights=reports.noisy_values, minlength=self._alphas.size
         )
@@ -159,6 +156,14 @@ class InpHT(MarginalReleaseProtocol):
             self.mechanism(),
             self.coefficient_indices(domain.dimension),
         )
+
+    def alphabet_sizes(self, dimension: int):
+        sizes = super().alphabet_sizes(dimension)
+        # |T| = sum_{l=1..k} C(d, l), without building the index set.
+        sizes["|T|"] = sum(
+            math.comb(dimension, width) for width in range(1, self.max_width + 1)
+        )
+        return sizes
 
     def communication_bits(self, dimension: int) -> int:
         """``d`` bits for the coefficient index plus 1 bit for its noisy value."""

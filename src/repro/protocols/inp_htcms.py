@@ -27,7 +27,7 @@ from .base import (
     record_indices,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import SIGN, ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["InpHTCMS", "InpHTCMSReports", "InpHTCMSAccumulator"]
 
@@ -49,9 +49,9 @@ register_report_schema(
     "InpHTCMS",
     InpHTCMSReports,
     fields=(
-        ReportField("hash_indices", np.int64),
-        ReportField("coefficient_indices", np.int64),
-        ReportField("noisy_signs", np.float64),
+        ReportField("hash_indices", np.int64, index("num_hashes")),
+        ReportField("coefficient_indices", np.int64, index("width")),
+        ReportField("noisy_signs", np.float64, SIGN),
     ),
 )
 
@@ -137,6 +137,11 @@ class InpHTCMS(MarginalReleaseProtocol):
         return InpHTCMSAccumulator(
             self.workload_for(domain), self.oracle(domain.dimension)
         )
+
+    def alphabet_sizes(self, dimension: int):
+        sizes = super().alphabet_sizes(dimension)
+        sizes.update(num_hashes=self._num_hashes, width=self._width)
+        return sizes
 
     def communication_bits(self, dimension: int) -> int:
         """Hash index + coefficient index + one noisy sign bit."""

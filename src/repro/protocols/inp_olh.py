@@ -27,7 +27,7 @@ from .base import (
     record_indices,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import RAW, ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["InpOLH", "InpOLHReports", "InpOLHAccumulator"]
 
@@ -48,8 +48,8 @@ register_report_schema(
     "InpOLH",
     InpOLHReports,
     fields=(
-        ReportField("seeds", np.int64),
-        ReportField("noisy_buckets", np.int64),
+        ReportField("seeds", np.int64, RAW),
+        ReportField("noisy_buckets", np.int64, index("g")),
     ),
 )
 
@@ -151,6 +151,11 @@ class InpOLH(MarginalReleaseProtocol):
         return InpOLHAccumulator(
             self.workload_for(domain), self.oracle(domain.dimension)
         )
+
+    def alphabet_sizes(self, dimension: int):
+        sizes = super().alphabet_sizes(dimension)
+        sizes["g"] = self.oracle(dimension).num_buckets
+        return sizes
 
     def communication_bits(self, dimension: int) -> int:
         """A hash-function identifier (64 bits in this implementation) plus

@@ -30,7 +30,7 @@ from .base import (
     record_indices,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["InpPS", "InpPSReports", "InpPSAccumulator"]
 
@@ -49,7 +49,7 @@ class InpPSReports(WireCodableReports):
 register_report_schema(
     "InpPS",
     InpPSReports,
-    fields=(ReportField("noisy_indices", np.int64),),
+    fields=(ReportField("noisy_indices", np.int64, index("2^d")),),
 )
 
 

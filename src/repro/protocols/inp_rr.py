@@ -31,7 +31,7 @@ from .base import (
     record_indices,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import COUNT, ReportField, WireCodableReports, register_report_schema
 
 __all__ = ["InpRR", "InpRRReports", "InpRRAccumulator"]
 
@@ -53,7 +53,9 @@ class InpRRReports(WireCodableReports):
 register_report_schema(
     "InpRR",
     InpRRReports,
-    fields=(ReportField("report_sums", np.float64, per_user=False),),
+    fields=(
+        ReportField("report_sums", np.float64, COUNT, per_user=False, extent="2^d"),
+    ),
     scalar_fields=("num_users",),
 )
 

@@ -35,7 +35,7 @@ from .base import (
     sampled_marginal_cells,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import SIGN, ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["MargHT", "MargHTReports", "MargHTAccumulator"]
 
@@ -57,9 +57,9 @@ register_report_schema(
     "MargHT",
     MargHTReports,
     fields=(
-        ReportField("marginal_choices", np.int64),
-        ReportField("coefficient_choices", np.int64),
-        ReportField("noisy_values", np.float64),
+        ReportField("marginal_choices", np.int64, index("C(d,k)")),
+        ReportField("coefficient_choices", np.int64, index("2^k")),
+        ReportField("noisy_values", np.float64, SIGN),
     ),
 )
 

@@ -32,7 +32,7 @@ from .base import (
     sampled_marginal_cells,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["MargPS", "MargPSReports", "MargPSAccumulator"]
 
@@ -53,8 +53,8 @@ register_report_schema(
     "MargPS",
     MargPSReports,
     fields=(
-        ReportField("choices", np.int64),
-        ReportField("noisy_cells", np.int64),
+        ReportField("choices", np.int64, index("C(d,k)")),
+        ReportField("noisy_cells", np.int64, index("2^k")),
     ),
 )
 

@@ -31,7 +31,7 @@ from .base import (
     sampled_marginal_cells,
     take_state_array,
 )
-from .wire import ReportField, WireCodableReports, register_report_schema
+from .wire import BIT, ReportField, WireCodableReports, index, register_report_schema
 
 __all__ = ["MargRR", "MargRRReports", "MargRRAccumulator"]
 
@@ -57,8 +57,8 @@ register_report_schema(
     "MargRR",
     MargRRReports,
     fields=(
-        ReportField("choices", np.int64),
-        ReportField("cell_bits", np.int8, ndim=2),
+        ReportField("choices", np.int64, index("C(d,k)")),
+        ReportField("cell_bits", np.int8, BIT, ndim=2, extent="2^k"),
     ),
 )
 

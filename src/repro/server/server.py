@@ -53,6 +53,7 @@ from ..observability import (
     MetricsRegistry,
     MetricsSnapshot,
     get_registry,
+    metrics_enabled,
     trace,
 )
 from ..observability.scrape import MetricsScrapeServer
@@ -86,10 +87,15 @@ __all__ = [
 
 _logger = logging.getLogger(__name__)
 
-#: Default per-frame cap for network submissions (64 MiB).  Far above any
-#: realistic report batch, far below the codec's 1 GiB hard limit — a
-#: connection cannot make one shard buffer a gigabyte on a forged header.
-DEFAULT_MAX_FRAME_BYTES = 64 << 20
+#: Default per-frame cap for network submissions (4 MiB): hundreds of
+#: thousands of users in any v2 report frame, far below the codec's 1 GiB
+#: hard limit.  Decode widens a frame to at most 64x its bytes (1-bit signs
+#: become float64), so one maximal frame costs a shard at most 256 MiB.
+DEFAULT_MAX_FRAME_BYTES = 4 << 20
+
+#: In each read chunk, report frames 0, N, 2N, ... have their decode timed
+#: for the ``wire.decode`` span.
+_DECODE_SAMPLE_STRIDE = 8
 
 #: Default micro-batch flush threshold: pending user reports per shard.
 DEFAULT_BATCH_MAX_USERS = 8192
@@ -446,6 +452,8 @@ class CollectionServer:
         self._reports_discarded = 0
         self._bytes_discarded = 0
         self._checkpoints_written = 0
+        # Report frames refused at decode, by WireFormatError reason.
+        self._reports_rejected: Dict[str, int] = {}
 
         # The operational counters above stay plain ints — they steer
         # behaviour (stop_after_reports, ACK payloads) and must count
@@ -492,6 +500,12 @@ class CollectionServer:
                 "repro_server_checkpoints_total", "Checkpoints written."
             ),
         }
+        self._metric_rejected = counter(
+            "repro_reports_rejected_total",
+            "Report frames refused at decode, by reason (alphabet, length, "
+            "version, kind).",
+            labels=("reason",),
+        )
         self._metric_synced: Dict[str, float] = {}
         self._metric_active = self._registry.gauge(
             "repro_server_connections_active", "Connections currently open."
@@ -632,8 +646,6 @@ class CollectionServer:
         sync — the exported series stay monotonic even though the net
         operational counters can step backwards on a discount.
         """
-        from ..observability.metrics import metrics_enabled
-
         if not metrics_enabled():
             return
         values = {
@@ -653,6 +665,12 @@ class CollectionServer:
             delta = value - self._metric_synced.get(key, 0)
             if delta > 0:
                 self._metric_counters[key].inc(delta)
+                self._metric_synced[key] = value
+        for reason, value in self._reports_rejected.items():
+            key = f"rejected:{reason}"
+            delta = value - self._metric_synced.get(key, 0)
+            if delta > 0:
+                self._metric_rejected.labels(reason=reason).inc(delta)
                 self._metric_synced[key] = value
         self._metric_active.set(self._connections_active)
         for index, session in enumerate(self._sessions):
@@ -708,6 +726,7 @@ class CollectionServer:
                 session.num_reports for session in self._sessions
             ],
             "checkpoints_written": self._checkpoints_written,
+            "reports_rejected": dict(sorted(self._reports_rejected.items())),
         }
 
     # ------------------------------------------------------------------ #
@@ -926,6 +945,7 @@ class CollectionServer:
             if flush_error:
                 return  # already rejected; only the first error reports
             flush_error.append(error)
+            self._count_rejected_report(error)
             self._connections_rejected += 1
             _logger.info(
                 "rejecting connection %d (bad submission): %s", index, error
@@ -956,6 +976,13 @@ class CollectionServer:
                 if not chunk:
                     break
                 decoder.absorb(chunk)
+                # Decode time is recorded as one wire.decode span per chunk.
+                # Only every _DECODE_SAMPLE_STRIDE-th report frame is timed
+                # and the sum scaled to the chunk's frame count: a clock
+                # read per frame is a measurable share of a small v2 frame.
+                timed = metrics_enabled()
+                sampled_seconds = 0.0
+                sampled_frames = decoded_frames = 0
                 for item in decoder.frames():
                     if isinstance(item, ControlMessage):
                         if item.kind == HELLO:
@@ -1034,10 +1061,18 @@ class CollectionServer:
                     else:
                         if not greeted:
                             raise _Reject("report frame before HELLO")
-                        # Decode off the receive-buffer view (zero-copy up
-                        # to the npz parse); a malformed payload raises
-                        # right here, on the connection that sent it.
-                        decoded = shard.protocol.decode_reports(item)
+                        # Decode off the receive-buffer view into owned
+                        # arrays; a malformed frame or a value outside the
+                        # spec's alphabets raises right here, on the
+                        # connection that sent it, before any fold.
+                        sample = timed and not decoded_frames % _DECODE_SAMPLE_STRIDE
+                        if sample:
+                            started = time.perf_counter()
+                        decoded = shard.protocol.decode_reports(item, shard.domain)
+                        if sample:
+                            sampled_seconds += time.perf_counter() - started
+                            sampled_frames += 1
+                        decoded_frames += 1
                         users = int(decoded.num_users)
                         nbytes = len(item)
                         if self._durable_acks:
@@ -1061,6 +1096,13 @@ class CollectionServer:
                             and self._reports_total >= self._stop_after_reports
                         ):
                             self._stop_event.set()
+                if sampled_frames:
+                    trace.record(
+                        "wire.decode",
+                        sampled_seconds * decoded_frames / sampled_frames,
+                        frames=decoded_frames,
+                        sampled=sampled_frames,
+                    )
             if finished:
                 self._connections_completed += 1
             elif control_plane and decoder.at_frame_boundary:
@@ -1087,6 +1129,7 @@ class CollectionServer:
             # error a hostile stream can provoke — e.g. AggregationError on
             # report frames whose shapes don't match the domain — reject
             # this connection with a readable ERR, never crash the handler.
+            self._count_rejected_report(error)
             self._connections_rejected += 1
             _logger.info(
                 "rejecting connection %d (bad submission): %s", index, error
@@ -1110,6 +1153,13 @@ class CollectionServer:
                 )
                 pending.clear()
             self._connections_active -= 1
+
+    def _count_rejected_report(self, error: BaseException) -> None:
+        """Tally a report frame refused for a wire-format ``reason``."""
+        if isinstance(error, WireFormatError) and error.reason is not None:
+            self._reports_rejected[error.reason] = (
+                self._reports_rejected.get(error.reason, 0) + 1
+            )
 
     def _fold_durable(
         self,

@@ -23,6 +23,7 @@ paths produce identical estimates by construction.
 
 from ..protocols.wire import (
     WIRE_FORMAT_VERSION,
+    Alphabet,
     ReportField,
     ReportSchema,
     WireCodableReports,
@@ -43,6 +44,7 @@ __all__ = [
     "SPEC_FORMAT_VERSION",
     # wire codec
     "WIRE_FORMAT_VERSION",
+    "Alphabet",
     "ReportField",
     "ReportSchema",
     "WireCodableReports",

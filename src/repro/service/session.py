@@ -137,19 +137,21 @@ class AggregationSession:
 
         ``reports`` is either the in-memory batch object produced by
         :meth:`~repro.protocols.base.MarginalReleaseProtocol.encode_batch`
-        or its wire form (``bytes``) produced by ``to_bytes()``.  Wire
-        frames are validated (magic, version, kind, field dtypes/shapes)
-        before they touch the accumulator.
+        or its wire form (``bytes``) produced by ``to_bytes()``.  Either
+        form is checked against the spec's report alphabets (and a wire
+        frame against its magic, version, kind and layout) before it
+        touches the accumulator.
         """
         with trace.span("session.submit"):
             if isinstance(reports, (bytes, bytearray, memoryview)):
                 frame = bytes(reports)
-                decoded = self._protocol.decode_reports(frame)
+                decoded = self._protocol.decode_reports(frame, self._domain)
                 self._accumulator.update(decoded)
                 self._wire_batches += 1
                 self._wire_bytes += len(frame)
                 self._wire_reports += int(decoded.num_users)
             else:
+                self._protocol.check_reports(reports, self._domain)
                 self._accumulator.update(reports)
             self._report_batches += 1
         return self
@@ -158,8 +160,9 @@ class AggregationSession:
         """Fold several already-decoded wire batches in as one update.
 
         The server's micro-batcher decodes frames from many connections
-        off the wire, coalesces them here, and pays the accumulator
-        ``update`` cost once.  The batches are concatenated with
+        off the wire (``protocol.decode_reports(frame, domain)``, which
+        runs the alphabet checks), coalesces them here, and pays the
+        accumulator ``update`` cost once.  The batches are concatenated with
         :func:`~repro.protocols.wire.concat_report_batches` — exact by the
         integer-sum argument documented there — so the session state is
         bit-for-bit what ``len(batches)`` individual :meth:`submit` calls

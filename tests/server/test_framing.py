@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import WireFormatError
+from repro.protocols.wire import WIRE_FORMAT_VERSION
 from repro.server.framing import (
     ACK,
     CONTROL_KINDS,
@@ -183,7 +184,7 @@ class TestRejection:
         """A forged length field fails before any payload arrives."""
         kind = b"InpHT"
         header = (
-            struct.pack("<4sHH", b"RPRB", 1, len(kind))
+            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(kind))
             + kind
             + struct.pack("<Q", 1 << 40)
         )
@@ -311,7 +312,7 @@ class TestReferenceConformance:
     def test_oversized_frame_rejection_parity(self):
         kind = b"InpHT"
         header = (
-            struct.pack("<4sHH", b"RPRB", 1, len(kind))
+            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(kind))
             + kind
             + struct.pack("<Q", 1 << 40)
         )

@@ -206,13 +206,14 @@ class TestFaultTolerance:
         assert_estimates_equal(estimates_of(server.finalize()), expected)
 
     def test_corrupt_payload_mid_stream_rejects_connection(self, dataset):
-        """A frame whose npz payload is corrupted raises WireFormatError at
-        submit; the server answers ERR and keeps serving."""
+        """A frame whose payload is corrupted raises WireFormatError at
+        decode; the server answers ERR, counts the rejection and keeps
+        serving."""
         protocol = build("InpHT")
         frames = encode_frames(protocol, dataset, BATCH_SIZE)
-        # Keep the valid frame header but replace the npz payload with
-        # noise: the frame still parses at the transport layer, then fails
-        # payload validation inside submit().
+        # Keep the valid frame header but zero the payload: the frame still
+        # parses at the transport layer, then fails payload validation
+        # (0-bit words fit no alphabet) before anything is folded.
         from repro.protocols.wire import _parse_frame_header
 
         _, header_end, frame_end = _parse_frame_header(frames[0], 0)
@@ -248,6 +249,7 @@ class TestFaultTolerance:
         assert errors and "corrupted" in errors[0].payload["error"]
         assert report.acked_reports == dataset.size
         assert server.num_reports == dataset.size  # corrupt frame added nothing
+        assert server.stats()["reports_rejected"] == {"alphabet": 1}
 
     def test_spec_mismatch_rejected_with_diff(self, dataset):
         protocol = build("InpHT", epsilon=1.1)
@@ -431,6 +433,122 @@ class TestFaultTolerance:
         assert report.acked_reports == dataset.size
         assert server.num_reports == dataset.size
         assert server.stats()["connections"]["dropped"] == 1
+
+
+class TestReportRejections:
+    """Decode-time refusals: one ERR per offending connection, nothing
+    folded, each counted under its reason."""
+
+    @staticmethod
+    def _bad_frames(dataset):
+        import struct
+
+        from repro.protocols.inp_ps import InpPSReports
+
+        from ..service.util import forge_report_frame
+
+        frame = encode_frames(build("InpPS"), dataset, None)[0]
+        stale = bytearray(frame)
+        struct.pack_into("<H", stale, 4, 1)  # a v1 (npz-era) frame
+        return {
+            "version": bytes(stale),
+            "kind": encode_frames(build("InpHT"), dataset, None)[0],
+            "length": forge_report_frame("InpPS", 3, [(8, (), bytes(2))]),
+            "alphabet": InpPSReports(
+                noisy_indices=np.array([0, 1 << dataset.dimension])
+            ).to_bytes(),
+        }
+
+    def test_rejections_counted_by_reason(self, dataset):
+        protocol = build("InpPS")
+        bad = self._bad_frames(dataset)
+
+        async def session():
+            server = CollectionServer(protocol.spec(), dataset.domain, port=0)
+            await server.start()
+            hello = encode_control(
+                HELLO, hello_payload(protocol.spec(), dataset.domain.attributes)
+            )
+            replies = {
+                reason: await raw_exchange(server.port, [hello, frame])
+                for reason, frame in bad.items()
+            }
+            await server.stop()
+            return server, replies
+
+        server, replies = asyncio.run(session())
+        for reason, answer in replies.items():
+            kinds = [r.kind for r in answer if isinstance(r, ControlMessage)]
+            assert kinds[0] == OK and ERR in kinds[1:], (reason, kinds)
+        assert server.num_reports == 0
+        assert server.stats()["reports_rejected"] == {
+            "alphabet": 1,
+            "kind": 1,
+            "length": 1,
+            "version": 1,
+        }
+        snapshot = server.metrics_snapshot()
+        for reason in bad:
+            assert (
+                snapshot.value("repro_reports_rejected_total", {"reason": reason})
+                == 1
+            )
+
+    def test_frame_cap_is_exact(self, dataset):
+        """A report frame whose payload sits exactly at ``max_frame_bytes``
+        is folded; one byte less of cap refuses it by length."""
+        from repro.protocols.wire import FRAME_LENGTH, FRAME_PREFIX
+
+        protocol = build("InpPS")
+        frame = encode_frames(protocol, dataset, None)[0]
+        payload = (
+            len(frame) - FRAME_PREFIX.size - len(b"InpPS") - FRAME_LENGTH.size
+        )
+        hello = encode_control(
+            HELLO, hello_payload(protocol.spec(), dataset.domain.attributes)
+        )
+
+        async def session(cap):
+            server = CollectionServer(
+                protocol.spec(), dataset.domain, port=0, max_frame_bytes=cap
+            )
+            await server.start()
+            replies = await raw_exchange(
+                server.port, [hello, frame + encode_control(FIN)]
+            )
+            await server.stop()
+            return server, [r.kind for r in replies if r is not None]
+
+        server, kinds = asyncio.run(session(payload))
+        assert kinds == [OK, ACK]
+        assert server.num_reports == dataset.size
+        server, kinds = asyncio.run(session(payload - 1))
+        assert kinds == [OK, ERR]
+        assert server.num_reports == 0
+        assert server.stats()["reports_rejected"] == {"length": 1}
+
+    def test_decode_runs_under_its_span(self, dataset):
+        """Decode time is recorded as ``wire.decode`` spans (one per read
+        chunk, annotated with its frame count and how many of those frames
+        were timed) in the span histogram."""
+        from repro.observability import get_registry, trace
+
+        protocol = build("InpHT")
+        frames = encode_frames(protocol, dataset, BATCH_SIZE)
+
+        def decode_spans():
+            data = get_registry().snapshot().value(
+                "repro_span_seconds", {"span": "wire.decode"}
+            )
+            return data["count"] if data else 0
+
+        before = decode_spans()
+        trace.clear()
+        collect_over_sockets(protocol, frames, dataset.domain, num_clients=2)
+        recorded = trace.recent("wire.decode")
+        assert sum(span["frames"] for span in recorded) == len(frames)
+        assert all(1 <= span["sampled"] <= span["frames"] for span in recorded)
+        assert decode_spans() - before == len(recorded)
 
 
 class TestLifecycle:

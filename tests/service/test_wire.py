@@ -24,7 +24,6 @@ from repro.service import (
     decode_reports,
     encode_reports,
     iter_report_frames,
-    report_schema_for,
     split_report_frames,
 )
 from repro.protocols.inp_ht import InpHTReports
@@ -37,6 +36,8 @@ from .util import (
     build,
     encode_frames,
     estimates_of,
+    forge_report_frame,
+    pack_planes,
     small_dataset,
 )
 
@@ -79,6 +80,23 @@ class TestFieldRoundTrip:
         reports = protocol.encode_batch(dataset, rng=np.random.default_rng(5))
         decoded = protocol.decode_reports(reports.to_bytes())
         assert type(decoded) is type(reports)
+
+    @pytest.mark.parametrize("name", ALL_PROTOCOLS)
+    def test_decoded_batches_do_not_pin_the_buffer(self, name, dataset):
+        """Decoding reads views of the receive buffer but hands back owned
+        arrays: the buffer can be overwritten and resized afterwards."""
+        protocol = build(name)
+        reports = protocol.encode_batch(dataset, rng=np.random.default_rng(3))
+        buffer = bytearray(reports.to_bytes())
+        view = memoryview(buffer)
+        decoded = protocol.decode_reports(view, dataset.domain)
+        view.release()
+        buffer[:] = bytes(len(buffer))
+        buffer.extend(b"resized")  # BufferError if any export were alive
+        for field in dataclasses.fields(reports):
+            original = getattr(reports, field.name)
+            if isinstance(original, np.ndarray):
+                np.testing.assert_array_equal(getattr(decoded, field.name), original)
 
     def test_empty_batch_round_trips(self, dataset):
         protocol = build("InpHT")
@@ -187,10 +205,14 @@ class TestMalformedBuffers:
             decode_reports(frame[:-20])
 
     def test_corrupted_payload(self, frame):
-        corrupted = bytearray(frame)
-        corrupted[-40] ^= 0xFF
-        with pytest.raises(WireFormatError, match="InpHT"):
-            decode_reports(bytes(corrupted))
+        """A flipped row count or word width no longer matches the bytes
+        that follow: the layout check names the kind and refuses it."""
+        payload_start = struct.calcsize("<4sHH") + len(b"InpHT") + 8
+        for position in (payload_start, payload_start + 4, payload_start + 5):
+            corrupted = bytearray(frame)
+            corrupted[position] ^= 0xFF
+            with pytest.raises(WireFormatError, match="InpHT report payload"):
+                decode_reports(bytes(corrupted))
 
     def test_version_mismatch(self, frame):
         stale = bytearray(frame)
@@ -214,53 +236,53 @@ class TestMalformedBuffers:
             InpRRReports.from_bytes(frame)
 
     def test_missing_field_rejected(self):
-        schema = report_schema_for("InpHT")
-        buffer = io.BytesIO()
-        np.savez(buffer, choices=np.zeros(3, dtype=np.int64))
-        payload = buffer.getvalue()
-        frame = (
-            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(b"InpHT"))
-            + b"InpHT"
-            + struct.pack("<Q", len(payload))
-            + payload
+        """A payload laid out for the choices field alone leaves the
+        noisy_values layout entry reading data bytes: refused on length."""
+        frame = forge_report_frame("InpHT", 3, [(2, (), bytes(2))])
+        with pytest.raises(WireFormatError, match="corrupted"):
+            decode_reports(frame)
+
+    def test_extra_field_rejected(self):
+        frame = forge_report_frame(
+            "InpHT",
+            3,
+            [(2, (), bytes(2)), (1, (), pack_planes([1, 0, 1])), (1, (), b"\x00")],
         )
-        assert schema.kind == "InpHT"
-        with pytest.raises(WireFormatError, match="missing"):
+        with pytest.raises(WireFormatError, match="corrupted"):
             decode_reports(frame)
 
     def test_wrong_dtype_rejected(self):
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            choices=np.zeros(3, dtype=np.float64),  # schema wants int64
-            noisy_values=np.ones(3, dtype=np.float64),
+        """A field declaring words its alphabet cannot hold — 64-bit float
+        words for the sign field, 64-bit words for an index — is refused
+        before any value is read."""
+        floats = np.ones(3, dtype="<f8").tobytes()
+        signs_as_floats = forge_report_frame(
+            "InpHT", 3, [(2, (), bytes(2)), (64, (), floats)]
         )
-        payload = buffer.getvalue()
-        frame = (
-            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(b"InpHT"))
-            + b"InpHT"
-            + struct.pack("<Q", len(payload))
-            + payload
+        with pytest.raises(WireFormatError, match="sign alphabet takes 1..1 bits"):
+            decode_reports(signs_as_floats)
+        wide_index = forge_report_frame(
+            "InpHT", 3, [(64, (), bytes(24)), (1, (), pack_planes([1, 0, 1]))]
         )
-        with pytest.raises(WireFormatError, match="dtype"):
-            decode_reports(frame)
+        with pytest.raises(WireFormatError, match="index alphabet takes"):
+            decode_reports(wide_index)
 
     def test_per_user_row_mismatch_rejected(self):
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
+        """Per-user fields share the frame's row count, so data sized for
+        a different batch size fails the exact-length check."""
+        frame = forge_report_frame(
+            "InpHT", 3, [(2, (), bytes(2)), (1, (), pack_planes([1] * 9))]
+        )
+        with pytest.raises(WireFormatError, match="row count"):
+            decode_reports(frame)
+
+    def test_encode_rejects_row_mismatch(self):
+        bad = InpHTReports(
             choices=np.zeros(3, dtype=np.int64),
             noisy_values=np.ones(4, dtype=np.float64),
         )
-        payload = buffer.getvalue()
-        frame = (
-            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(b"InpHT"))
-            + b"InpHT"
-            + struct.pack("<Q", len(payload))
-            + payload
-        )
         with pytest.raises(WireFormatError, match="disagree on the batch"):
-            decode_reports(frame)
+            bad.to_bytes()
 
     def test_encode_rejects_wrong_dtype(self):
         bad = InpHTReports(

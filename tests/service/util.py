@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+import struct
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,3 +68,56 @@ def assert_estimates_equal(observed, expected):
     assert observed.keys() == expected.keys()
     for beta in expected:
         np.testing.assert_array_equal(observed[beta], expected[beta])
+
+
+def forge_report_frame(
+    kind: str,
+    rows: int,
+    fields: Sequence[Tuple[int, Sequence[int], bytes]],
+    scalars: Sequence[int] = (),
+    version: int = None,
+) -> bytes:
+    """Hand-build a report frame from raw layout entries and field bytes.
+
+    ``fields`` holds one ``(width, extents, data)`` per schema field, in
+    schema order; nothing is checked, so tests can forge any layout.
+    """
+    from repro.protocols.wire import WIRE_FORMAT_VERSION
+
+    layout = struct.pack("<I", rows)
+    for width, extents, _ in fields:
+        layout += struct.pack("<B", width)
+        layout += struct.pack(f"<{len(extents)}I", *extents)
+    layout += struct.pack(f"<{len(scalars)}q", *scalars)
+    payload = layout + b"".join(data for _, _, data in fields)
+    name = kind.encode("utf-8")
+    return (
+        struct.pack(
+            "<4sHH",
+            b"RPRB",
+            WIRE_FORMAT_VERSION if version is None else version,
+            len(name),
+        )
+        + name
+        + struct.pack("<Q", len(payload))
+        + payload
+    )
+
+
+def pack_planes(values, width: int = 1) -> bytes:
+    """``width`` LSB-first bit planes of ``values``: the wire layout of a
+    non-RAW field (plane ``j`` holds bit ``j`` of every value)."""
+    words = np.asarray(values, dtype=np.uint64)
+    planes = (words >> np.arange(width, dtype=np.uint64)[:, None]) & np.uint64(1)
+    return np.packbits(planes.astype(np.uint8), axis=1, bitorder="little").tobytes()
+
+
+def state_bytes(session) -> Dict[str, object]:
+    """A session's ``state_dict`` (dtype, shape and raw bytes per array) plus
+    its counters, so two snapshots compare equal only if byte-identical."""
+    state = session._accumulator.state_dict()
+    frozen: Dict[str, object] = {"metadata": session.metadata}
+    for key, value in state.items():
+        array = np.asarray(value)
+        frozen[key] = (str(array.dtype), array.shape, array.tobytes())
+    return frozen
