@@ -46,13 +46,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
+import itertools
 import json
 import os
 import signal
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,6 +194,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "encode",
         help="client side: simulate a population and emit serialized "
         "report frames",
+        parents=[
+            _population_parent(
+                "taxi",
+                10_000,
+                "population generator simulating the clients "
+                "(default: taxi)",
+            ),
+            _emit_parent(),
+        ],
     )
     encode_parser.add_argument(
         "--protocol", required=True, help="protocol name (e.g. InpHT)"
@@ -212,83 +222,34 @@ def _build_parser() -> argparse.ArgumentParser:
         help="extra protocol option (repeatable; value parsed as JSON, "
         "e.g. --option width=512)",
     )
-    encode_parser.add_argument(
-        "--dataset", choices=DATASET_NAMES, default="taxi",
-        help="population generator simulating the clients (default: taxi)",
-    )
-    encode_parser.add_argument(
-        "-n", "--population", type=_positive_int, default=10_000, metavar="N",
-        help="number of simulated users (default: 10000)",
-    )
-    encode_parser.add_argument(
-        "-d", "--dimension", type=_positive_int, default=8, metavar="D",
-        help="number of binary attributes (default: 8)",
-    )
-    encode_parser.add_argument(
-        "--seed", type=int, default=20180610, help="master random seed"
-    )
-    encode_parser.add_argument(
-        "--batch-size", type=_positive_int, default=None, metavar="B",
-        help="encode the population in record batches of this size "
-        "(default: one batch)",
-    )
-    encode_parser.add_argument(
-        "--spec-out", metavar="PATH",
-        help="also write the protocol spec (the out-of-band client/server "
-        "contract) to this JSON file",
-    )
-    encode_parser.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="where to write the report frames ('-' = stdout, the default)",
-    )
 
-    aggregate_parser = subparsers.add_parser(
+    subparsers.add_parser(
         "aggregate",
         help="server side: feed report frames to an AggregationSession and "
         "print the estimated marginals",
-    )
-    aggregate_parser.add_argument(
-        "--spec", metavar="PATH",
-        help="protocol spec JSON written by 'encode --spec-out' "
-        "(required unless --restore is given)",
-    )
-    domain_group = aggregate_parser.add_mutually_exclusive_group()
-    domain_group.add_argument(
-        "-d", "--dimension", type=_positive_int, metavar="D",
-        help="number of binary attributes (names default to attr0..attrD-1)",
-    )
-    domain_group.add_argument(
-        "--attributes", metavar="A,B,C",
-        help="comma-separated attribute names of the collection domain",
-    )
-    aggregate_parser.add_argument(
-        "--input", default="-", metavar="PATH",
-        help="report-frame stream to consume ('-' = stdin, the default; "
-        "'none' = no frames, e.g. to re-print a restored checkpoint)",
-    )
-    aggregate_parser.add_argument(
-        "--restore", metavar="PATH",
-        help="resume a checkpointed session instead of starting fresh",
-    )
-    aggregate_parser.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="write the session checkpoint here after ingesting the frames",
-    )
-    aggregate_parser.add_argument(
-        "--json", metavar="PATH",
-        help="also write the estimates and session metadata to this JSON file",
-    )
-    aggregate_parser.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text estimates to this file",
+        parents=[
+            _ingest_parent("encode", "re-print a restored checkpoint"),
+            _outputs_parent(
+                "also write the estimates and session metadata to this "
+                "JSON file",
+                _ESTIMATES_OUTPUT_HELP,
+            ),
+        ],
     )
 
     serve_parser = subparsers.add_parser(
         "serve",
         help="run the asyncio network collection service (HELLO handshake, "
         "sharded aggregation, checkpoints)",
+        parents=[
+            _contract_parent(),
+            _outputs_parent(
+                "write the final estimates plus server stats to this JSON "
+                "file",
+                _ESTIMATES_OUTPUT_HELP,
+            ),
+        ],
     )
-    _add_contract_arguments(serve_parser)
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="listen address (default: 127.0.0.1)"
     )
@@ -318,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kernel-backend", metavar="NAME", default=None,
-        help="decode-kernel backend for this collection (numpy, threaded, "
-        "numba or auto; default: $REPRO_KERNEL_BACKEND, then auto)",
+        help="decode-kernel backend for this collection (numpy, threaded "
+        "or auto; default: $REPRO_KERNEL_BACKEND, then auto)",
     )
     serve_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -345,21 +306,33 @@ def _build_parser() -> argparse.ArgumentParser:
         help="log a one-line throughput summary every SEC seconds while "
         "serving (single-process serve only)",
     )
-    serve_parser.add_argument(
-        "--json", metavar="PATH",
-        help="write the final estimates plus server stats to this JSON file",
-    )
-    serve_parser.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text estimates to this file",
-    )
 
     load_parser = subparsers.add_parser(
         "load",
         help="hammer a running collection server with a fleet of simulated "
         "clients and report the achieved throughput",
+        parents=[
+            _contract_parent(),
+            _population_parent(
+                None,
+                10_000,
+                "encode this named dataset with run_streaming's rng "
+                "discipline (so the server's estimates match an in-process "
+                "baseline bit-for-bit); without it each client synthesizes "
+                "its own records",
+                population_help="dataset size for --dataset mode",
+                batch_help="records per report frame (default: one frame "
+                "per client, or one frame for the whole --dataset)",
+            ),
+            _fleet_parent(
+                "; reusing a prefix against the same tree dedupes the "
+                "groups as replays"
+            ),
+            _outputs_parent(
+                "write the fleet's throughput report to this JSON file"
+            ),
+        ],
     )
-    _add_contract_arguments(load_parser)
     load_parser.add_argument(
         "--host", default="127.0.0.1", help="server address (default: 127.0.0.1)"
     )
@@ -371,26 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of concurrent simulated clients (default: 8)",
     )
     load_parser.add_argument(
-        "--dataset", choices=DATASET_NAMES, default=None,
-        help="encode this named dataset with run_streaming's rng discipline "
-        "(so the server's estimates match an in-process baseline "
-        "bit-for-bit); without it each client synthesizes its own records",
-    )
-    load_parser.add_argument(
-        "-n", "--population", type=_positive_int, default=10_000, metavar="N",
-        help="dataset size for --dataset mode (default: 10000)",
-    )
-    load_parser.add_argument(
         "--records-per-client", type=_positive_int, default=256, metavar="R",
         help="records each client synthesizes without --dataset (default: 256)",
-    )
-    load_parser.add_argument(
-        "--batch-size", type=_positive_int, default=None, metavar="B",
-        help="records per report frame (default: one frame per client, or "
-        "one frame for the whole --dataset)",
-    )
-    load_parser.add_argument(
-        "--seed", type=int, default=20180610, help="master random seed"
     )
     load_parser.add_argument(
         "--frames-per-connection", type=_positive_int, default=None, metavar="F",
@@ -402,25 +357,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-connection ERR (default: 0)",
     )
     load_parser.add_argument(
-        "--connect-timeout", type=float, default=10.0, metavar="SEC",
-        help="keep retrying the first connect for SEC seconds (default: 10)",
-    )
-    load_parser.add_argument(
-        "--json", metavar="PATH",
-        help="write the fleet's throughput report to this JSON file",
-    )
-    load_parser.add_argument(
         "--topology", metavar="DIR", default=None,
         help="drive a whole `repro topo launch` tree: read the collection "
         "contract, collector addresses, routing policy and failover oracle "
         "from DIR/topology.json (waits for the manifest to appear); "
         "contract/--host/--port flags are then taken from the manifest",
-    )
-    load_parser.add_argument(
-        "--token-prefix", metavar="P", default=None,
-        help="idempotency-token prefix for --topology mode (default: a "
-        "fresh per-run value; reusing a prefix against the same tree "
-        "dedupes the groups as replays)",
     )
     load_parser.add_argument(
         "--max-retries", type=int, default=None, metavar="R",
@@ -502,8 +443,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="spawn N durable collector processes plus the supervisor "
         "oracle, write DIR/topology.json, serve until stopped, then "
         "fan in and print the merged estimates",
+        parents=[
+            _contract_parent(),
+            _outputs_parent(
+                "write the final estimates plus topology stats to this file",
+                _ESTIMATES_OUTPUT_HELP,
+            ),
+        ],
     )
-    _add_contract_arguments(topo_launch)
     topo_launch.add_argument(
         "--dir", required=True, metavar="DIR",
         help="topology directory: per-collector durable checkpoints and "
@@ -551,14 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the manifest so `repro load --topology` clients adopt them "
         "without extra flags",
     )
-    topo_launch.add_argument(
-        "--json", metavar="PATH",
-        help="write the final estimates plus topology stats to this file",
-    )
-    topo_launch.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text estimates to this file",
-    )
 
     topo_inspect = topo_subparsers.add_parser(
         "inspect",
@@ -574,13 +513,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fan in a tree non-destructively: pull every live collector's "
         "state over the wire, recover dead ones from their durable "
         "checkpoints, merge, and print the estimates",
+        parents=[
+            _outputs_parent("write the merged estimates to this JSON file")
+        ],
     )
     topo_finalize.add_argument(
         "--dir", required=True, metavar="DIR", help="topology directory"
-    )
-    topo_finalize.add_argument(
-        "--json", metavar="PATH",
-        help="write the merged estimates to this JSON file",
     )
     topo_finalize.add_argument(
         "--allow-partial", action="store_true",
@@ -603,116 +541,36 @@ def _build_parser() -> argparse.ArgumentParser:
         "for the top-k",
     )
     hh_subparsers = hh_parser.add_subparsers(dest="hh_command", required=True)
+    hh_population = (
+        "skewed",
+        20_000,
+        "population generator simulating the clients "
+        "(default: skewed — a zipf-style heavy-tailed population)",
+    )
 
-    def _add_hh_protocol_arguments(
-        parser: argparse.ArgumentParser, require_epsilon: bool
-    ) -> None:
-        parser.add_argument(
-            "--epsilon", type=float, required=require_epsilon,
-            help="per-user privacy budget (one report per user, so the "
-            "whole discovery is epsilon-LDP with no composition)",
-        )
-        parser.add_argument(
-            "--width", type=_positive_int, default=2, metavar="K",
-            help="marginal workload width k for itemset queries on the "
-            "final estimator (default: 2)",
-        )
-        parser.add_argument(
-            "--oracle", choices=("InpOLH", "InpHT", "InpHTCMS"),
-            default="InpOLH",
-            help="per-level frequency oracle (default: InpOLH)",
-        )
-        parser.add_argument(
-            "--fanout", type=_positive_int, default=2, metavar="F",
-            help="prefix bits each level adds (default: 2)",
-        )
-        parser.add_argument(
-            "--threshold", type=float, default=0.0, metavar="T",
-            help="fixed pruning threshold; 0 = adaptive, each level prunes "
-            "at its oracle's confidence half-width (default: 0)",
-        )
-        parser.add_argument(
-            "--top-k", type=_positive_int, default=8, metavar="K",
-            dest="top_k", help="heavy hitters to emit (default: 8)",
-        )
-        parser.add_argument(
-            "--option", action="append", default=[], metavar="KEY=VALUE",
-            help="extra HH protocol option, e.g. --option width=512 for "
-            "the InpHTCMS sketch (repeatable; value parsed as JSON; "
-            "overrides the dedicated flags above)",
-        )
-
-    def _add_hh_dataset_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--dataset", choices=DATASET_NAMES, default="skewed",
-            help="population generator simulating the clients "
-            "(default: skewed — a zipf-style heavy-tailed population)",
-        )
-        parser.add_argument(
-            "-n", "--population", type=_positive_int, default=20_000,
-            metavar="N", help="number of simulated users (default: 20000)",
-        )
-        parser.add_argument(
-            "--seed", type=int, default=20180610, help="master random seed"
-        )
-        parser.add_argument(
-            "--batch-size", type=_positive_int, default=None, metavar="B",
-            help="encode the population in record batches of this size "
-            "(default: one batch)",
-        )
-
-    hh_encode = hh_subparsers.add_parser(
+    hh_subparsers.add_parser(
         "encode",
         help="client side: partition a simulated population across prefix "
         "levels and emit serialized HH report frames",
-    )
-    _add_hh_protocol_arguments(hh_encode, require_epsilon=True)
-    _add_hh_dataset_arguments(hh_encode)
-    hh_encode.add_argument(
-        "-d", "--dimension", type=_positive_int, default=8, metavar="D",
-        help="number of binary attributes (default: 8)",
-    )
-    hh_encode.add_argument(
-        "--spec-out", metavar="PATH",
-        help="also write the protocol spec (the out-of-band client/server "
-        "contract) to this JSON file",
-    )
-    hh_encode.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="where to write the report frames ('-' = stdout, the default)",
+        parents=[
+            _hh_protocol_parent(require_epsilon=True),
+            _population_parent(*hh_population),
+            _emit_parent(),
+        ],
     )
 
     hh_aggregate = hh_subparsers.add_parser(
         "aggregate",
         help="server side: feed HH report frames to an AggregationSession "
         "and print the discovered top-k",
-    )
-    hh_aggregate.add_argument(
-        "--spec", metavar="PATH",
-        help="protocol spec JSON written by 'hh encode --spec-out' "
-        "(required unless --restore is given)",
-    )
-    hh_domain_group = hh_aggregate.add_mutually_exclusive_group()
-    hh_domain_group.add_argument(
-        "-d", "--dimension", type=_positive_int, metavar="D",
-        help="number of binary attributes (names default to attr0..attrD-1)",
-    )
-    hh_domain_group.add_argument(
-        "--attributes", metavar="A,B,C",
-        help="comma-separated attribute names of the collection domain",
-    )
-    hh_aggregate.add_argument(
-        "--input", default="-", metavar="PATH",
-        help="report-frame stream to consume ('-' = stdin, the default; "
-        "'none' = no frames, e.g. to re-discover from a checkpoint)",
-    )
-    hh_aggregate.add_argument(
-        "--restore", metavar="PATH",
-        help="resume a checkpointed session instead of starting fresh",
-    )
-    hh_aggregate.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="write the session checkpoint here after ingesting the frames",
+        parents=[
+            _ingest_parent("hh encode", "re-discover from a checkpoint"),
+            _outputs_parent(
+                "also write the discovery result and session metadata to "
+                "this JSON file",
+                _RESULT_OUTPUT_HELP,
+            ),
+        ],
     )
     hh_aggregate.add_argument(
         "--top-k", type=_positive_int, default=None, metavar="K",
@@ -723,24 +581,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="two-sided confidence level for the frequency intervals "
         "(default: 0.95)",
     )
-    hh_aggregate.add_argument(
-        "--json", metavar="PATH",
-        help="also write the discovery result and session metadata to "
-        "this JSON file",
-    )
-    hh_aggregate.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text result to this file",
-    )
 
     hh_discover = hh_subparsers.add_parser(
         "discover",
         help="end to end: simulate the population, collect the reports "
         "(in-process, or through a `repro topo launch` tree), and score "
         "the discovered top-k against the exact one",
+        parents=[
+            _hh_protocol_parent(require_epsilon=False),
+            _population_parent(*hh_population),
+            _fleet_parent(),
+            _outputs_parent(
+                "write the discovery result, the exact top-k and the "
+                "precision/recall score to this JSON file",
+                _RESULT_OUTPUT_HELP,
+            ),
+        ],
     )
-    _add_hh_protocol_arguments(hh_discover, require_epsilon=False)
-    _add_hh_dataset_arguments(hh_discover)
     hh_discover.add_argument(
         "-d", "--dimension", type=_positive_int, default=8, metavar="D",
         help="number of binary attributes (default: 8; --topology mode "
@@ -762,49 +619,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--clients", type=_positive_int, default=3, metavar="C",
         help="concurrent clients for --topology mode (default: 3)",
     )
-    hh_discover.add_argument(
-        "--connect-timeout", type=float, default=10.0, metavar="SEC",
-        help="keep retrying the first connect for SEC seconds (default: 10)",
-    )
-    hh_discover.add_argument(
-        "--token-prefix", metavar="P", default=None,
-        help="idempotency-token prefix for --topology mode (default: a "
-        "fresh per-run value)",
-    )
-    hh_discover.add_argument(
-        "--json", metavar="PATH",
-        help="write the discovery result, the exact top-k and the "
-        "precision/recall score to this JSON file",
-    )
-    hh_discover.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text result to this file",
-    )
     return parser
 
 
-def _add_contract_arguments(parser: argparse.ArgumentParser) -> None:
-    """The collection contract: a spec (file or inline) plus the domain."""
-    parser.add_argument(
-        "--spec", metavar="PATH",
-        help="protocol spec JSON (e.g. from 'encode --spec-out'); "
-        "alternatively give --protocol/--epsilon/--width inline",
-    )
-    parser.add_argument("--protocol", help="protocol name (e.g. InpRR)")
-    parser.add_argument(
-        "--epsilon", type=float, help="per-user privacy budget"
-    )
-    parser.add_argument(
-        "--width", type=_positive_int, metavar="K", help="workload width k"
-    )
-    parser.add_argument(
-        "--option",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="extra protocol option (repeatable; value parsed as JSON)",
-    )
-    domain_group = parser.add_mutually_exclusive_group()
+# Shared flag families, one parent parser each.  argparse copies a
+# parent's action objects by reference, so every verb builds fresh
+# parents: one verb's defaults and help text never leak into another's.
+
+_ESTIMATES_OUTPUT_HELP = "also write the rendered text estimates to this file"
+_RESULT_OUTPUT_HELP = "also write the rendered text result to this file"
+
+
+def _spec_parent(spec_help: str) -> argparse.ArgumentParser:
+    """``--spec`` plus the ``-d/--dimension`` | ``--attributes`` domain."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--spec", metavar="PATH", help=spec_help)
+    domain_group = parent.add_mutually_exclusive_group()
     domain_group.add_argument(
         "-d", "--dimension", type=_positive_int, metavar="D",
         help="number of binary attributes (names default to attr0..attrD-1)",
@@ -813,6 +643,188 @@ def _add_contract_arguments(parser: argparse.ArgumentParser) -> None:
         "--attributes", metavar="A,B,C",
         help="comma-separated attribute names of the collection domain",
     )
+    return parent
+
+
+def _contract_parent() -> argparse.ArgumentParser:
+    """The collection contract: a spec (file or inline) plus the domain."""
+    parent = argparse.ArgumentParser(
+        add_help=False,
+        parents=[
+            _spec_parent(
+                "protocol spec JSON (e.g. from 'encode --spec-out'); "
+                "alternatively give --protocol/--epsilon/--width inline"
+            )
+        ],
+    )
+    parent.add_argument("--protocol", help="protocol name (e.g. InpRR)")
+    parent.add_argument(
+        "--epsilon", type=float, help="per-user privacy budget"
+    )
+    parent.add_argument(
+        "--width", type=_positive_int, metavar="K", help="workload width k"
+    )
+    parent.add_argument(
+        "--option",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="extra protocol option (repeatable; value parsed as JSON)",
+    )
+    return parent
+
+
+def _ingest_parent(producer: str, none_use: str) -> argparse.ArgumentParser:
+    """The session flags of ``aggregate`` and ``hh aggregate``."""
+    parent = argparse.ArgumentParser(
+        add_help=False,
+        parents=[
+            _spec_parent(
+                f"protocol spec JSON written by '{producer} --spec-out' "
+                "(required unless --restore is given)"
+            )
+        ],
+    )
+    parent.add_argument(
+        "--input", default="-", metavar="PATH",
+        help="report-frame stream to consume ('-' = stdin, the default; "
+        f"'none' = no frames, e.g. to {none_use})",
+    )
+    parent.add_argument(
+        "--restore", metavar="PATH",
+        help="resume a checkpointed session instead of starting fresh",
+    )
+    parent.add_argument(
+        "--checkpoint", metavar="PATH",
+        help="write the session checkpoint here after ingesting the frames",
+    )
+    return parent
+
+
+def _population_parent(
+    dataset: Optional[str],
+    population: int,
+    dataset_help: str,
+    *,
+    population_help: str = "number of simulated users",
+    batch_help: str = "encode the population in record batches of this "
+    "size (default: one batch)",
+) -> argparse.ArgumentParser:
+    """The simulated client population: dataset, size, seed, batching."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--dataset", choices=DATASET_NAMES, default=dataset, help=dataset_help
+    )
+    parent.add_argument(
+        "-n", "--population", type=_positive_int, default=population,
+        metavar="N", help=f"{population_help} (default: {population})",
+    )
+    parent.add_argument(
+        "--seed", type=int, default=20180610, help="master random seed"
+    )
+    parent.add_argument(
+        "--batch-size", type=_positive_int, default=None, metavar="B",
+        help=batch_help,
+    )
+    return parent
+
+
+def _emit_parent() -> argparse.ArgumentParser:
+    """Where ``encode`` and ``hh encode`` write their frames and spec."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "-d", "--dimension", type=_positive_int, default=8, metavar="D",
+        help="number of binary attributes (default: 8)",
+    )
+    parent.add_argument(
+        "--spec-out", metavar="PATH",
+        help="also write the protocol spec (the out-of-band client/server "
+        "contract) to this JSON file",
+    )
+    parent.add_argument(
+        "--output", default="-", metavar="PATH",
+        help="where to write the report frames ('-' = stdout, the default)",
+    )
+    return parent
+
+
+def _fleet_parent(token_note: str = "") -> argparse.ArgumentParser:
+    """The client-fleet flags of ``load`` and ``hh discover``."""
+    timeout = resilience_defaults.DEFAULT_CONNECT_TIMEOUT
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--connect-timeout", type=float, default=timeout, metavar="SEC",
+        help=f"keep retrying the first connect for SEC seconds "
+        f"(default: {timeout:g})",
+    )
+    parent.add_argument(
+        "--token-prefix", metavar="P", default=None,
+        help="idempotency-token prefix for --topology mode (default: a "
+        f"fresh per-run value{token_note})",
+    )
+    return parent
+
+
+def _outputs_parent(
+    json_help: str, output_help: Optional[str] = None
+) -> argparse.ArgumentParser:
+    """``--json`` (and, given its help, ``--output``) for _write_outputs."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--json", metavar="PATH", help=json_help)
+    if output_help is not None:
+        parent.add_argument("--output", metavar="PATH", help=output_help)
+    return parent
+
+
+def _hh_protocol_parent(require_epsilon: bool) -> argparse.ArgumentParser:
+    """The HH contract flags of ``hh encode`` and ``hh discover``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--epsilon", type=float, required=require_epsilon,
+        help="per-user privacy budget (one report per user, so the "
+        "whole discovery is epsilon-LDP with no composition)",
+    )
+    parent.add_argument(
+        "--width", type=_positive_int, default=2, metavar="K",
+        help="marginal workload width k for itemset queries on the "
+        "final estimator (default: 2)",
+    )
+    parent.add_argument(
+        "--oracle", choices=("InpOLH", "InpHT", "InpHTCMS"),
+        default="InpOLH",
+        help="per-level frequency oracle (default: InpOLH)",
+    )
+    parent.add_argument(
+        "--fanout", type=_positive_int, default=2, metavar="F",
+        help="prefix bits each level adds (default: 2)",
+    )
+    parent.add_argument(
+        "--threshold", type=float, default=0.0, metavar="T",
+        help="fixed pruning threshold; 0 = adaptive, each level prunes "
+        "at its oracle's confidence half-width (default: 0)",
+    )
+    parent.add_argument(
+        "--top-k", type=_positive_int, default=8, metavar="K",
+        dest="top_k", help="heavy hitters to emit (default: 8)",
+    )
+    parent.add_argument(
+        "--option", action="append", default=[], metavar="KEY=VALUE",
+        help="extra HH protocol option, e.g. --option width=512 for "
+        "the InpHTCMS sketch (repeatable; value parsed as JSON; "
+        "overrides the dedicated flags above)",
+    )
+    return parent
+
+
+def _domain_from_args(arguments: argparse.Namespace) -> Optional[Domain]:
+    """The ``--attributes``/``--dimension`` domain, or None if neither."""
+    if arguments.attributes:
+        return Domain(
+            [name.strip() for name in arguments.attributes.split(",")]
+        )
+    if arguments.dimension:
+        return Domain.binary(arguments.dimension)
+    return None
 
 
 def _contract_from_args(arguments: argparse.Namespace):
@@ -836,13 +848,8 @@ def _contract_from_args(arguments: argparse.Namespace):
             "--protocol/--epsilon/--width"
         )
     spec.build()  # surface unknown protocols/options before any socket work
-    if arguments.attributes:
-        domain = Domain(
-            [name.strip() for name in arguments.attributes.split(",")]
-        )
-    elif arguments.dimension:
-        domain = Domain.binary(arguments.dimension)
-    else:
+    domain = _domain_from_args(arguments)
+    if domain is None:
         raise ReproError(
             "pass --dimension or --attributes to describe the collection domain"
         )
@@ -1019,12 +1026,10 @@ def _run_encode(arguments: argparse.Namespace) -> int:
         )
         protocol = spec.build()
         if arguments.width > arguments.dimension:
-            print(
-                f"encode: --width {arguments.width} exceeds the "
-                f"{arguments.dimension}-attribute domain (-d)",
-                file=sys.stderr,
+            raise ReproError(
+                f"--width {arguments.width} exceeds the "
+                f"{arguments.dimension}-attribute domain (-d)"
             )
-            return 2
         if arguments.spec_out:
             save_protocol_spec(spec, arguments.spec_out)
             print(f"wrote {arguments.spec_out}", file=sys.stderr)
@@ -1123,82 +1128,96 @@ def _estimates_payload(estimator, session: AggregationSession) -> Dict:
     }
 
 
+def _write_outputs(rendered: str, payload: Dict, arguments) -> None:
+    """Print ``rendered``; save it to ``--output`` and ``payload`` to
+    ``--json`` when the verb has (and was given) those flags."""
+    print(rendered)
+    output = getattr(arguments, "output", None)
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(rendered + "\n")
+        print(f"wrote {output}", file=sys.stderr)
+    if arguments.json:
+        with open(arguments.json, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote {arguments.json}", file=sys.stderr)
+
+
+def _input_frames(path: str):
+    """Lazily split report frames from ``path`` ('-' = stdin)."""
+    if path == "-":
+        yield from split_report_frames(sys.stdin.buffer)
+        return
+    with open(path, "rb") as source:
+        yield from split_report_frames(source)
+
+
+def _ingest(
+    arguments: argparse.Namespace,
+    validate: Optional[Callable[[AggregationSession], None]] = None,
+) -> AggregationSession:
+    """The server-side ingest of ``aggregate`` and ``hh aggregate``.
+
+    Builds the session from ``--spec`` and the domain (or ``--restore``s
+    one), runs ``validate`` on it, folds every ``--input`` frame in and
+    writes ``--checkpoint``.  Usage errors raise :class:`ReproError`; the
+    verb prints them under its own prefix.
+    """
+    if arguments.restore and (
+        arguments.spec or arguments.dimension or arguments.attributes
+    ):
+        raise ReproError(
+            "--restore carries the session's own spec and domain; "
+            "--spec/--dimension/--attributes cannot be combined with it"
+        )
+    domain = None
+    if not arguments.restore:
+        if not arguments.spec:
+            raise ReproError("--spec is required unless --restore is given")
+        domain = _domain_from_args(arguments)
+        if domain is None:
+            raise ReproError(
+                "pass --dimension or --attributes to describe the "
+                "collection domain (or --restore a checkpoint)"
+            )
+    # Restoring at an interactive terminal with nothing piped in, or an
+    # explicit --input none, means there are no frames to ingest — the
+    # command just (re-)prints the session's state.
+    no_input = arguments.input == "none" or (
+        arguments.restore and arguments.input == "-" and sys.stdin.isatty()
+    )
+    frames = iter(()) if no_input else _input_frames(arguments.input)
+    # Read ONE frame from stdin before loading the spec file: in an
+    # ``encode | aggregate`` pipeline both processes start together, but
+    # the producer writes --spec-out before emitting its first frame byte,
+    # so having a frame (or EOF) in hand guarantees the spec file exists.
+    # The rest of the stream is ingested one frame at a time — constant
+    # memory for arbitrarily large collections.
+    head = list(itertools.islice(frames, 1)) if arguments.input == "-" else []
+    if arguments.restore:
+        session = AggregationSession.restore(arguments.restore)
+        print(
+            f"restored session with {session.num_reports} reports from "
+            f"{arguments.restore}",
+            file=sys.stderr,
+        )
+    else:
+        spec = load_protocol_spec(arguments.spec)
+        session = AggregationSession(spec, domain)
+    if validate is not None:
+        validate(session)
+    for frame in itertools.chain(head, frames):
+        session.submit(frame)
+    if arguments.checkpoint:
+        session.checkpoint(arguments.checkpoint)
+        print(f"wrote {arguments.checkpoint}", file=sys.stderr)
+    return session
+
+
 def _run_aggregate(arguments: argparse.Namespace) -> int:
     try:
-        if arguments.restore and (
-            arguments.spec or arguments.dimension or arguments.attributes
-        ):
-            print(
-                "aggregate: --restore carries the session's own spec and "
-                "domain; --spec/--dimension/--attributes cannot be combined "
-                "with it",
-                file=sys.stderr,
-            )
-            return 2
-        domain = None
-        if not arguments.restore:
-            if not arguments.spec:
-                print(
-                    "aggregate: --spec is required unless --restore is given",
-                    file=sys.stderr,
-                )
-                return 2
-            if arguments.attributes:
-                domain = Domain(
-                    [name.strip() for name in arguments.attributes.split(",")]
-                )
-            elif arguments.dimension:
-                domain = Domain.binary(arguments.dimension)
-            else:
-                print(
-                    "aggregate: pass --dimension or --attributes to describe "
-                    "the collection domain (or --restore a checkpoint)",
-                    file=sys.stderr,
-                )
-                return 2
-        # Restoring at an interactive terminal with nothing piped in, or an
-        # explicit --input none, means there are no frames to ingest — the
-        # command just (re-)prints the session's estimates.
-        no_input = arguments.input == "none" or (
-            arguments.restore
-            and arguments.input == "-"
-            and sys.stdin.isatty()
-        )
-        # Read ONE frame from stdin before loading the spec file: in an
-        # ``encode | aggregate`` pipeline both processes start together, but
-        # the producer writes --spec-out before emitting its first frame
-        # byte, so having a frame (or EOF) in hand guarantees the spec file
-        # exists.  The rest of the stream is ingested one frame at a time —
-        # constant memory for arbitrarily large collections, matching the
-        # --input FILE path.
-        stdin_frames = None
-        first_frame = None
-        if not no_input and arguments.input == "-":
-            stdin_frames = split_report_frames(sys.stdin.buffer)
-            first_frame = next(stdin_frames, None)
-        if arguments.restore:
-            session = AggregationSession.restore(arguments.restore)
-            print(
-                f"restored session with {session.num_reports} reports from "
-                f"{arguments.restore}",
-                file=sys.stderr,
-            )
-        else:
-            session = AggregationSession(
-                load_protocol_spec(arguments.spec), domain
-            )
-        if stdin_frames is not None:
-            if first_frame is not None:
-                session.submit(first_frame)
-                for frame in stdin_frames:
-                    session.submit(frame)
-        elif not no_input:
-            with open(arguments.input, "rb") as source:
-                for frame in split_report_frames(source):
-                    session.submit(frame)
-        if arguments.checkpoint:
-            session.checkpoint(arguments.checkpoint)
-            print(f"wrote {arguments.checkpoint}", file=sys.stderr)
+        session = _ingest(arguments)
         estimator = session.snapshot()
     except BrokenPipeError:
         raise  # handled quietly in main(); not an aggregate failure
@@ -1206,17 +1225,11 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         # OSError: missing/unreadable --input or checkpoint paths.
         print(f"aggregate: {error}", file=sys.stderr)
         return 2
-    rendered = _render_estimates(estimator, session)
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(_estimates_payload(estimator, session), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    _write_outputs(
+        _render_estimates(estimator, session),
+        _estimates_payload(estimator, session),
+        arguments,
+    )
     return 0
 
 
@@ -1365,11 +1378,7 @@ def _run_serve(arguments: argparse.Namespace) -> int:
     try:
         spec, domain = _contract_from_args(arguments)
         if arguments.checkpoint_interval is not None and not arguments.checkpoint_dir:
-            print(
-                "serve: --checkpoint-interval requires --checkpoint-dir",
-                file=sys.stderr,
-            )
-            return 2
+            raise ReproError("--checkpoint-interval requires --checkpoint-dir")
         if arguments.kernel_backend:
             # Validate and pin the decode backend; the env var carries the
             # choice into --processes workers regardless of start method.
@@ -1377,22 +1386,18 @@ def _run_serve(arguments: argparse.Namespace) -> int:
             os.environ[BACKEND_ENV_VAR] = arguments.kernel_backend
         if arguments.processes > 1:
             if arguments.checkpoint_interval is not None:
-                print(
-                    "serve: --checkpoint-interval is not supported with "
-                    "--processes > 1 (workers checkpoint on shutdown)",
-                    file=sys.stderr,
+                raise ReproError(
+                    "--checkpoint-interval is not supported with "
+                    "--processes > 1 (workers checkpoint on shutdown)"
                 )
-                return 2
             if arguments.metrics_port is not None or (
                 arguments.stats_interval is not None
             ):
-                print(
-                    "serve: --metrics-port/--stats-interval need the "
+                raise ReproError(
+                    "--metrics-port/--stats-interval need the "
                     "single-process server (workers cannot share one "
-                    "scrape socket); drop --processes or the metrics flags",
-                    file=sys.stderr,
+                    "scrape socket); drop --processes or the metrics flags"
                 )
-                return 2
             combined, stats = _serve_multiprocess(arguments, spec, domain)
         else:
             if arguments.uvloop:
@@ -1438,17 +1443,8 @@ def _run_serve(arguments: argparse.Namespace) -> int:
         # OSError: the port is taken or the checkpoint dir is unwritable.
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload["server"] = stats
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    payload["server"] = stats
+    _write_outputs(rendered, payload, arguments)
     return 0
 
 
@@ -1599,30 +1595,23 @@ def _run_load(arguments: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as error:
         print(f"load: {error}", file=sys.stderr)
         return 2
-    print(
-        "\n".join(
-            [
-                f"clients     : {report.clients}",
-                f"connections : {report.connections} "
-                f"({report.rejected_connections} rejected as expected)",
-                f"frames      : {report.frames} sent, "
-                f"{report.acked_frames} acked",
-                f"reports     : {report.acked_reports} acked",
-                f"failover    : {report.retries} retried group(s), "
-                f"{report.recovered_groups} recovered from dead collectors, "
-                f"{report.spool_replays} replayed from the spool",
-                f"bytes       : {report.bytes}",
-                f"duration    : {report.duration_seconds:.3f} s",
-                f"throughput  : {report.reports_per_second:,.0f} reports/s, "
-                f"{report.megabytes_per_second:.2f} MB/s",
-            ]
-        )
+    rendered = "\n".join(
+        [
+            f"clients     : {report.clients}",
+            f"connections : {report.connections} "
+            f"({report.rejected_connections} rejected as expected)",
+            f"frames      : {report.frames} sent, {report.acked_frames} acked",
+            f"reports     : {report.acked_reports} acked",
+            f"failover    : {report.retries} retried group(s), "
+            f"{report.recovered_groups} recovered from dead collectors, "
+            f"{report.spool_replays} replayed from the spool",
+            f"bytes       : {report.bytes}",
+            f"duration    : {report.duration_seconds:.3f} s",
+            f"throughput  : {report.reports_per_second:,.0f} reports/s, "
+            f"{report.megabytes_per_second:.2f} MB/s",
+        ]
     )
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    _write_outputs(rendered, report.to_dict(), arguments)
     return 0
 
 
@@ -1772,19 +1761,9 @@ def _run_topo_launch(arguments: argparse.Namespace) -> int:
         recovered_reports,
     )
     estimator = merged.snapshot() if merged.num_reports else None
-    rendered = _render_estimates(estimator, merged)
     payload = _estimates_payload(estimator, merged)
     payload["topology"] = stats
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    _write_outputs(_render_estimates(estimator, merged), payload, arguments)
     return 0
 
 
@@ -1896,89 +1875,74 @@ def _expected_reports_by_collector(
     return expected
 
 
-def _run_topo_finalize(arguments: argparse.Namespace) -> int:
-    """Fan in an existing tree from outside the launcher process.
+def _fan_in(manifest: Dict, verb: str):
+    """Fan in a topology manifest's collectors, as ``topo finalize`` does.
 
     Live collectors are pulled over the wire; unreachable ones fall back
-    to their last durable ``state.npz`` — the same supersede-by-collector-
-    id merge the supervisor performs, so the result is identical to what
-    the launcher would print.
+    to their last durable ``state.npz`` through the same restore-or-
+    quarantine loader the supervisor uses, so the result is identical to
+    what the launcher would print.  Returns ``(aggregator, statuses,
+    lost)``: the status of every collector that did not answer the pull
+    (recovered, lost or quarantined, in manifest order) and the readable
+    reason of each one whose state is gone.
     """
     from pathlib import Path
 
-    from .core.exceptions import PartialCoverageError, WireFormatError
-    from .resilience import STATUS_RECOVERED, RetryPolicy
-    from .resilience.integrity import quarantine_checkpoint
+    from .resilience import RetryPolicy, restore_or_quarantine
     from .server import DURABLE_STATE_FILENAME
-    from .topology import FanInAggregator, load_manifest
+    from .topology import FanInAggregator
+
+    aggregator = FanInAggregator(
+        ProtocolSpec.from_dict(manifest["spec"]),
+        Domain(manifest["attributes"]),
+    )
+    pull_retry = RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0)
+    fallbacks = []
+
+    async def gather():
+        for entry in manifest["collectors"]:
+            try:
+                await aggregator.pull(
+                    entry["host"],
+                    int(entry["port"]),
+                    timeout=5.0,
+                    retry=pull_retry,
+                )
+            except ReproError:
+                fallbacks.append(entry)
+
+    asyncio.run(gather())
+    statuses: Dict[str, str] = {}
+    lost: Dict[str, str] = {}
+    for entry in fallbacks:
+        collector_id = entry["collector_id"]
+        loaded = restore_or_quarantine(
+            Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME,
+            f"{verb} of collector {collector_id}",
+        )
+        statuses[collector_id] = loaded.status
+        if loaded.session is None:
+            lost[collector_id] = loaded.detail
+        else:
+            aggregator.ingest_session(
+                collector_id, loaded.session, loaded.acked_tokens
+            )
+        print(
+            f"{verb}: collector {collector_id} is unreachable; "
+            f"{loaded.detail}",
+            file=sys.stderr,
+        )
+    return aggregator, statuses, lost
+
+
+def _run_topo_finalize(arguments: argparse.Namespace) -> int:
+    """Fan in an existing tree from outside the launcher process."""
+    from .core.exceptions import PartialCoverageError
+    from .topology import load_manifest
 
     try:
         manifest = load_manifest(arguments.dir)
-        spec = ProtocolSpec.from_dict(manifest["spec"])
-        domain = Domain(manifest["attributes"])
-        aggregator = FanInAggregator(spec, domain)
-        fallbacks = []
-        lost: Dict[str, str] = {}
-        statuses: Dict[str, str] = {}
-        pull_retry = RetryPolicy(
-            max_retries=2, base_delay=0.2, max_delay=1.0
-        )
-
-        async def gather():
-            for entry in manifest["collectors"]:
-                try:
-                    await aggregator.pull(
-                        entry["host"],
-                        int(entry["port"]),
-                        timeout=5.0,
-                        retry=pull_retry,
-                    )
-                except ReproError:
-                    fallbacks.append(entry)
-
-        asyncio.run(gather())
-        for entry in fallbacks:
-            collector_id = entry["collector_id"]
-            state_path = Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME
-            if not state_path.exists():
-                lost[collector_id] = (
-                    f"unreachable and left no durable checkpoint at "
-                    f"{state_path}"
-                )
-                print(
-                    f"topo finalize: collector {collector_id} is "
-                    f"{lost[collector_id]}; counting it as empty",
-                    file=sys.stderr,
-                )
-                continue
-            try:
-                session = AggregationSession.restore(state_path)
-            except WireFormatError as error:
-                quarantined, report_path = quarantine_checkpoint(
-                    state_path,
-                    f"topo finalize of collector {collector_id}: {error}",
-                )
-                lost[collector_id] = f"checkpoint quarantined: {error}"
-                print(
-                    f"topo finalize: collector {collector_id} is "
-                    f"unreachable and its checkpoint failed verification; "
-                    f"quarantined to {quarantined} (report: {report_path})",
-                    file=sys.stderr,
-                )
-                continue
-            tokens = session.checkpoint_extra.get("acked_tokens", {})
-            aggregator.ingest_session(
-                collector_id,
-                session,
-                tokens if isinstance(tokens, dict) else {},
-            )
-            statuses[collector_id] = STATUS_RECOVERED
-            print(
-                f"topo finalize: collector {collector_id} is "
-                f"unreachable; recovered {session.num_reports} report(s) "
-                f"from {state_path}",
-                file=sys.stderr,
-            )
+        aggregator, statuses, lost = _fan_in(manifest, "topo finalize")
         expected = _expected_reports_by_collector(arguments, manifest)
         coverage = aggregator.coverage_report(
             expected=expected, lost=lost, statuses=statuses
@@ -1991,11 +1955,10 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
         estimator = merged.snapshot() if merged.num_reports else None
         if estimator is not None:
             estimator.metadata["coverage"] = coverage.to_dict()
-        rendered = _render_estimates(estimator, merged)
         payload = _estimates_payload(estimator, merged)
         payload["topology"] = {
             "collectors": list(aggregator.collector_ids),
-            "unreachable": [entry["collector_id"] for entry in fallbacks],
+            "unreachable": list(statuses),
             "reports": merged.num_reports,
         }
         payload["coverage"] = coverage.to_dict()
@@ -2005,12 +1968,7 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as error:
         print(f"topo finalize: {error}", file=sys.stderr)
         return 2
-    print(rendered)
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    _write_outputs(_render_estimates(estimator, merged), payload, arguments)
     return 0
 
 
@@ -2076,85 +2034,18 @@ def _run_hh_encode(arguments: argparse.Namespace) -> int:
     return _run_encode(arguments)
 
 
+def _require_hh(session: AggregationSession) -> None:
+    if session.spec.protocol != "HH":
+        raise ReproError(
+            f"the spec describes {session.spec.protocol!r}, not the HH "
+            f"discovery protocol (use plain `repro aggregate` for marginal "
+            f"estimates)"
+        )
+
+
 def _run_hh_aggregate(arguments: argparse.Namespace) -> int:
     try:
-        if arguments.restore and (
-            arguments.spec or arguments.dimension or arguments.attributes
-        ):
-            print(
-                "hh aggregate: --restore carries the session's own spec and "
-                "domain; --spec/--dimension/--attributes cannot be combined "
-                "with it",
-                file=sys.stderr,
-            )
-            return 2
-        domain = None
-        if not arguments.restore:
-            if not arguments.spec:
-                print(
-                    "hh aggregate: --spec is required unless --restore is "
-                    "given",
-                    file=sys.stderr,
-                )
-                return 2
-            if arguments.attributes:
-                domain = Domain(
-                    [name.strip() for name in arguments.attributes.split(",")]
-                )
-            elif arguments.dimension:
-                domain = Domain.binary(arguments.dimension)
-            else:
-                print(
-                    "hh aggregate: pass --dimension or --attributes to "
-                    "describe the collection domain (or --restore a "
-                    "checkpoint)",
-                    file=sys.stderr,
-                )
-                return 2
-        no_input = arguments.input == "none" or (
-            arguments.restore
-            and arguments.input == "-"
-            and sys.stdin.isatty()
-        )
-        # Same first-frame trick as `aggregate`: in an `hh encode |
-        # hh aggregate` pipeline, having one frame (or EOF) in hand
-        # guarantees the producer already wrote --spec-out.
-        stdin_frames = None
-        first_frame = None
-        if not no_input and arguments.input == "-":
-            stdin_frames = split_report_frames(sys.stdin.buffer)
-            first_frame = next(stdin_frames, None)
-        if arguments.restore:
-            session = AggregationSession.restore(arguments.restore)
-            print(
-                f"restored session with {session.num_reports} reports from "
-                f"{arguments.restore}",
-                file=sys.stderr,
-            )
-        else:
-            session = AggregationSession(
-                load_protocol_spec(arguments.spec), domain
-            )
-        if session.spec.protocol != "HH":
-            print(
-                f"hh aggregate: the spec describes "
-                f"{session.spec.protocol!r}, not the HH discovery protocol "
-                f"(use plain `repro aggregate` for marginal estimates)",
-                file=sys.stderr,
-            )
-            return 2
-        if stdin_frames is not None:
-            if first_frame is not None:
-                session.submit(first_frame)
-                for frame in stdin_frames:
-                    session.submit(frame)
-        elif not no_input:
-            with open(arguments.input, "rb") as source:
-                for frame in split_report_frames(source):
-                    session.submit(frame)
-        if arguments.checkpoint:
-            session.checkpoint(arguments.checkpoint)
-            print(f"wrote {arguments.checkpoint}", file=sys.stderr)
+        session = _ingest(arguments, validate=_require_hh)
         estimator = session.snapshot()
         result = (
             estimator.discover(
@@ -2168,102 +2059,37 @@ def _run_hh_aggregate(arguments: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as error:
         print(f"hh aggregate: {error}", file=sys.stderr)
         return 2
-    rendered = _render_discovery(result, session.spec, session.num_reports)
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload = {
-            "spec": session.spec.to_dict(),
-            "num_reports": session.num_reports,
-            "session": session.metadata,
-            "discovery": result.to_dict() if result is not None else None,
-        }
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    payload = {
+        "spec": session.spec.to_dict(),
+        "num_reports": session.num_reports,
+        "session": session.metadata,
+        "discovery": result.to_dict() if result is not None else None,
+    }
+    _write_outputs(
+        _render_discovery(result, session.spec, session.num_reports),
+        payload,
+        arguments,
+    )
     return 0
-
-
-def _hh_topology_fan_in(arguments: argparse.Namespace) -> AggregationSession:
-    """Fan in the tree's per-collector states for discovery.
-
-    The same pull-then-durable-fallback walk as ``topo finalize``, kept
-    strict: a collector that is unreachable *and* left no durable state is
-    an error, because a partial fan-in would silently skew the top-k.
-    """
-    from pathlib import Path
-
-    from .resilience import RetryPolicy
-    from .server import DURABLE_STATE_FILENAME
-    from .topology import FanInAggregator, load_manifest
-
-    manifest = load_manifest(arguments.topology)
-    spec = ProtocolSpec.from_dict(manifest["spec"])
-    domain = Domain(manifest["attributes"])
-    aggregator = FanInAggregator(spec, domain)
-    fallbacks = []
-    pull_retry = RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0)
-
-    async def gather():
-        for entry in manifest["collectors"]:
-            try:
-                await aggregator.pull(
-                    entry["host"],
-                    int(entry["port"]),
-                    timeout=5.0,
-                    retry=pull_retry,
-                )
-            except ReproError:
-                fallbacks.append(entry)
-
-    asyncio.run(gather())
-    for entry in fallbacks:
-        collector_id = entry["collector_id"]
-        state_path = Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME
-        if not state_path.exists():
-            raise ReproError(
-                f"collector {collector_id} is unreachable and left no "
-                f"durable checkpoint at {state_path}"
-            )
-        session = AggregationSession.restore(state_path)
-        tokens = session.checkpoint_extra.get("acked_tokens", {})
-        aggregator.ingest_session(
-            collector_id, session, tokens if isinstance(tokens, dict) else {}
-        )
-        print(
-            f"hh discover: collector {collector_id} is unreachable; "
-            f"recovered {session.num_reports} report(s) from {state_path}",
-            file=sys.stderr,
-        )
-    return aggregator.merged_session()
 
 
 def _run_hh_discover(arguments: argparse.Namespace) -> int:
     from .heavyhitters import exact_top_k, precision_recall
+    from .topology import load_manifest
 
     try:
         if arguments.topology:
             if arguments.epsilon is not None:
-                print(
-                    "hh discover: --topology takes the collection contract "
-                    "from the tree's manifest; drop --epsilon (and the "
-                    "other protocol flags)",
-                    file=sys.stderr,
+                raise ReproError(
+                    "--topology takes the collection contract from the "
+                    "tree's manifest; drop --epsilon (and the other "
+                    "protocol flags)"
                 )
-                return 2
             spec, domain, fleet_kwargs = _load_topology_contract(arguments)
             dimension = domain.dimension
         else:
             if arguments.epsilon is None:
-                print(
-                    "hh discover: --epsilon is required without --topology",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ReproError("--epsilon is required without --topology")
             options = _parse_options(
                 _hh_option_strings(arguments) + list(arguments.option)
             )
@@ -2276,20 +2102,16 @@ def _run_hh_discover(arguments: argparse.Namespace) -> int:
             dimension = arguments.dimension
             domain = Domain.binary(dimension)
         if spec.protocol != "HH":
-            print(
-                f"hh discover: the topology collects "
-                f"{spec.protocol!r}, not the HH discovery protocol",
-                file=sys.stderr,
+            raise ReproError(
+                f"the topology collects {spec.protocol!r}, not the HH "
+                f"discovery protocol"
             )
-            return 2
         protocol = spec.build()
         if spec.max_width > dimension:
-            print(
-                f"hh discover: --width {spec.max_width} exceeds the "
-                f"{dimension}-attribute domain",
-                file=sys.stderr,
+            raise ReproError(
+                f"--width {spec.max_width} exceeds the "
+                f"{dimension}-attribute domain"
             )
-            return 2
 
         generator = np.random.default_rng(arguments.seed)
         dataset = make_dataset(
@@ -2317,7 +2139,17 @@ def _run_hh_discover(arguments: argparse.Namespace) -> int:
                 f"connection(s)",
                 file=sys.stderr,
             )
-            session = _hh_topology_fan_in(arguments)
+            # Strict fan-in: a partial one would silently skew the top-k.
+            aggregator, _, lost = _fan_in(
+                load_manifest(arguments.topology), "hh discover"
+            )
+            if lost:
+                collector_id = min(lost)
+                raise ReproError(
+                    f"collector {collector_id} is unreachable; "
+                    f"{lost[collector_id]}"
+                )
+            session = aggregator.merged_session()
             estimator = session.snapshot() if session.num_reports else None
             num_reports = session.num_reports
         else:
@@ -2348,32 +2180,23 @@ def _run_hh_discover(arguments: argparse.Namespace) -> int:
             f"precision : {precision:.3f}    recall : {recall:.3f}",
         ]
     )
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload = {
-            "spec": spec.to_dict(),
-            "mode": "topology" if arguments.topology else "local",
-            "dataset": {
-                "name": arguments.dataset,
-                "population": arguments.population,
-                "dimension": dimension,
-                "seed": arguments.seed,
-                "batch_size": arguments.batch_size,
-            },
-            "num_reports": num_reports,
-            "discovery": result.to_dict() if result is not None else None,
-            "exact_top_k": [int(index) for index in exact],
-            "precision": precision,
-            "recall": recall,
-        }
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
+    payload = {
+        "spec": spec.to_dict(),
+        "mode": "topology" if arguments.topology else "local",
+        "dataset": {
+            "name": arguments.dataset,
+            "population": arguments.population,
+            "dimension": dimension,
+            "seed": arguments.seed,
+            "batch_size": arguments.batch_size,
+        },
+        "num_reports": num_reports,
+        "discovery": result.to_dict() if result is not None else None,
+        "exact_top_k": [int(index) for index in exact],
+        "precision": precision,
+        "recall": recall,
+    }
+    _write_outputs(rendered, payload, arguments)
     return 0
 
 

@@ -9,7 +9,7 @@ This module makes those kernels *swappable*: every implementation is a
 ``REPRO_KERNEL_BACKEND`` environment variable, then the process-wide
 default (:func:`set_default_backend`), then an automatic choice.
 
-Three backends ship:
+Two backends ship:
 
 * ``numpy`` — the reference-conformant blocked numpy implementation (the
   exact kernels proven against their references by the property suite).
@@ -17,10 +17,6 @@ Three backends ship:
   numpy releases the GIL inside its ufunc loops, so user-partitioned
   support counting and chunked popcount/parity scale with cores while
   staying bit-for-bit identical (integer partial sums add exactly).
-* ``numba`` — an optional JIT backend (``pip install .[fast]``) that
-  compiles the support-count scan with ``prange`` over domain elements.
-  When numba is absent the backend reports itself unavailable and
-  selection falls back to ``numpy`` with a logged warning.
 
 Every backend computes *identical* integer support counts — backend
 choice is a pure performance knob and is treated exactly like
@@ -49,11 +45,9 @@ from .exceptions import ProtocolConfigurationError
 __all__ = [
     "BACKEND_ENV_VAR",
     "HAS_BITWISE_COUNT",
-    "HAS_NUMBA",
     "KernelBackend",
     "NumpyBackend",
     "ThreadedBackend",
-    "NumbaBackend",
     "available_backends",
     "registered_backends",
     "get_backend",
@@ -71,14 +65,6 @@ BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Whether this numpy ships the hardware-popcount ufunc (numpy >= 2.0).
 HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-try:  # pragma: no cover - exercised only in the optional-deps CI job
-    import numba  # type: ignore
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - the default environment
-    numba = None
-    HAS_NUMBA = False
 
 
 # --------------------------------------------------------------------- #
@@ -166,11 +152,6 @@ class KernelBackend:
 
     #: Registry key; also what ``REPRO_KERNEL_BACKEND`` selects.
     name: str = "abstract"
-
-    @property
-    def available(self) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
 
     def popcount(self, words: np.ndarray) -> np.ndarray:
         """Set-bit count of a ``uint64`` array, as ``int64``."""
@@ -340,83 +321,6 @@ class ThreadedBackend(KernelBackend):
             return support
 
 
-class NumbaBackend(KernelBackend):
-    """Optional numba-JIT support-count scan, ``prange`` over the domain.
-
-    Each parallel iteration owns one domain element's counter, so no
-    cross-thread reduction is needed and the counts are exact.  popcount
-    and parity reuse the numpy kernels (they are already memory-bound).
-    Unavailable (and skipped by :func:`resolve_backend` with a warning)
-    unless numba is installed — ``pip install .[fast]``.
-    """
-
-    name = "numba"
-
-    def __init__(self):
-        self._kernel = None
-        self._numpy = NumpyBackend()
-
-    @property
-    def available(self) -> bool:
-        return HAS_NUMBA
-
-    def popcount(self, words: np.ndarray) -> np.ndarray:
-        return self._numpy.popcount(words)
-
-    def parity(self, words: np.ndarray) -> np.ndarray:
-        return self._numpy.parity(words)
-
-    def _compiled(self):  # pragma: no cover - optional-deps CI job only
-        if self._kernel is None:
-            if not HAS_NUMBA:
-                raise ProtocolConfigurationError(
-                    "the numba kernel backend needs numba installed "
-                    "(pip install .[fast])"
-                )
-
-            @numba.njit(parallel=True, nogil=True, cache=False)
-            def scan(offsets, targets, domain_size, buckets, mask, use_mask):
-                support = np.zeros(domain_size, dtype=np.int64)
-                for d in numba.prange(domain_size):
-                    element = np.uint64(d)
-                    count = 0
-                    for u in range(offsets.shape[0]):
-                        x = element + offsets[u]
-                        x ^= x >> np.uint64(30)
-                        x *= np.uint64(0xBF58476D1CE4E5B9)
-                        x ^= x >> np.uint64(27)
-                        x *= np.uint64(0x94D049BB133111EB)
-                        x ^= x >> np.uint64(31)
-                        if use_mask:
-                            x &= mask
-                        else:
-                            x %= buckets
-                        if x == targets[u]:
-                            count += 1
-                    support[d] = count
-                return support
-
-            self._kernel = scan
-        return self._kernel
-
-    def support_counts(
-        self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
-    ) -> np.ndarray:  # pragma: no cover - optional-deps CI job only
-        with np.errstate(over="ignore"):
-            offsets = seeds.astype(np.uint64) * _SEED_MIX
-        targets = noisy_buckets.astype(np.uint64)
-        buckets = int(num_buckets)
-        use_mask = buckets & (buckets - 1) == 0
-        return self._compiled()(
-            offsets,
-            targets,
-            domain_size,
-            np.uint64(buckets),
-            np.uint64(buckets - 1),
-            use_mask,
-        )
-
-
 # --------------------------------------------------------------------- #
 # registry and selection
 
@@ -446,33 +350,26 @@ def _register(backend: KernelBackend) -> KernelBackend:
 
 _register(NumpyBackend())
 _register(ThreadedBackend())
-_register(NumbaBackend())
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, available or not (sorted)."""
+    """Every registered backend name (sorted)."""
     return tuple(sorted(_BACKENDS))
 
 
 def available_backends() -> Tuple[str, ...]:
-    """The backend names that can run in this environment (sorted)."""
-    return tuple(
-        sorted(name for name, backend in _BACKENDS.items() if backend.available)
-    )
+    """The backend names that can run here: every registered one, since
+    both shipped backends need nothing beyond numpy (sorted)."""
+    return registered_backends()
 
 
 def get_backend(name: str) -> KernelBackend:
-    """The backend registered under ``name`` (must exist and be available)."""
+    """The backend registered under ``name`` (which must exist)."""
     backend = _BACKENDS.get(name)
     if backend is None:
         raise ProtocolConfigurationError(
             f"unknown kernel backend {name!r}; registered backends: "
             f"{list(registered_backends())}"
-        )
-    if not backend.available:
-        raise ProtocolConfigurationError(
-            f"kernel backend {name!r} is not available in this environment "
-            f"(pip install .[fast]); available: {list(available_backends())}"
         )
     return backend
 
@@ -497,9 +394,9 @@ def resolve_backend(name: str = "") -> KernelBackend:
     environment variable, then the process-wide default installed by
     :func:`set_default_backend`, then automatic (``threaded`` on
     multi-core hosts, ``numpy`` otherwise).  ``"auto"`` at any level
-    selects the automatic choice; an unknown or unavailable name logs a
-    warning (once per name) and falls through to the next level instead
-    of failing — backend choice must never break an aggregation.
+    selects the automatic choice; an unknown name logs a warning (once
+    per name) and falls through to the next level instead of failing —
+    backend choice must never break an aggregation.
     """
     candidates = (
         (name, "requested"),
@@ -521,13 +418,6 @@ def resolve_backend(name: str = "") -> KernelBackend:
                 f"backends: {list(registered_backends())} — falling back",
             )
             continue
-        if not backend.available:
-            _warn_once(
-                candidate,
-                f"kernel backend {candidate!r} ({source}) is not available "
-                f"in this environment (pip install .[fast]) — falling back",
-            )
-            continue
         _count_dispatch(backend.name)
         return backend
     backend = _auto_backend()
@@ -538,9 +428,7 @@ def resolve_backend(name: str = "") -> KernelBackend:
 def set_default_backend(name: Optional[str]) -> None:
     """Install a process-wide default backend (``None``/``""`` clears it).
 
-    The name must be registered (``"auto"`` is allowed); availability is
-    still checked at :func:`resolve_backend` time so an env-specific
-    default degrades gracefully instead of failing at configuration time.
+    The name must be registered (``"auto"`` is allowed).
     """
     global _DEFAULT_OVERRIDE
     if not name:

@@ -155,8 +155,8 @@ class OptimizedLocalHashing:
 
         This is the ``O(N * 2^d)`` hot loop of the library; the scan itself
         is delegated to the selected kernel backend
-        (:func:`repro.core.backends.resolve_backend` — numpy blocked scan,
-        thread-pool fan-out, or the optional numba JIT).  Every backend
+        (:func:`repro.core.backends.resolve_backend` — numpy blocked scan
+        or its thread-pool fan-out).  Every backend
         produces identical ``int64`` counts for any ``batch_size`` (``0``
         selects :attr:`decode_batch_size`);
         :meth:`support_counts_reference` keeps the original implementation

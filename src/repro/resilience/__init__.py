@@ -14,7 +14,7 @@ test harness).
 * :mod:`~repro.resilience.spool` — :class:`ReportSpool`, the durable
   store-and-forward log that makes clients crash-safe.
 * :mod:`~repro.resilience.integrity` — checkpoint SHA-256 digests and
-  corrupt-file quarantine.
+  the one restore-or-quarantine loader behind every recovery path.
 * :mod:`~repro.resilience.coverage` — :class:`CoverageReport`, the
   expected/received/lost ledger behind degraded-mode finalize.
 * :mod:`~repro.resilience.chaos` — reusable fault injectors for tests
@@ -37,9 +37,11 @@ from .defaults import (
 )
 from .integrity import (
     DIGEST_ALGORITHM,
+    RestoredCheckpoint,
     checkpoint_digest,
     embed_integrity,
     quarantine_checkpoint,
+    restore_or_quarantine,
     verify_integrity,
 )
 from .policies import (
@@ -67,6 +69,8 @@ __all__ = [
     "embed_integrity",
     "verify_integrity",
     "quarantine_checkpoint",
+    "RestoredCheckpoint",
+    "restore_or_quarantine",
     "CollectorCoverage",
     "CoverageReport",
     "STATUS_OK",

@@ -7,8 +7,10 @@ JSON header.  ``np.savez`` stores members uncompressed (``ZIP_STORED``),
 so a torn write or flipped bit either changes the array bytes — caught by
 the digest — or breaks the zip structure itself — caught by the CRC and
 converted to :class:`~repro.core.exceptions.WireFormatError` upstream.
-Either way the restore path calls :func:`quarantine_checkpoint` instead
-of folding silent garbage into an aggregation.
+Either way :func:`restore_or_quarantine` — the one restore path of every
+collector, supervisor, fan-in and shard merge — moves the file aside
+with :func:`quarantine_checkpoint` instead of folding silent garbage
+into an aggregation.
 
 The digest covers the canonical JSON of the header (minus the integrity
 section itself) plus every state array's name, dtype, shape, and raw
@@ -20,15 +22,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.exceptions import CheckpointIntegrityError
+from ..core.exceptions import CheckpointIntegrityError, WireFormatError
 from ..observability import get_registry
+from .coverage import STATUS_LOST, STATUS_QUARANTINED, STATUS_RECOVERED
 
 __all__ = [
     "DIGEST_ALGORITHM",
@@ -36,7 +41,11 @@ __all__ = [
     "embed_integrity",
     "verify_integrity",
     "quarantine_checkpoint",
+    "RestoredCheckpoint",
+    "restore_or_quarantine",
 ]
+
+_logger = logging.getLogger(__name__)
 
 DIGEST_ALGORITHM = "sha256"
 
@@ -164,3 +173,67 @@ def quarantine_checkpoint(
     ]
     report_path.write_text("\n".join(lines), encoding="utf-8")
     return quarantined, report_path
+
+
+@dataclass(frozen=True)
+class RestoredCheckpoint:
+    """What :func:`restore_or_quarantine` made of one checkpoint path.
+
+    ``status`` is ``recovered`` (``session`` holds the restored state and
+    ``acked_tokens`` its idempotency-token map), ``lost`` (no file) or
+    ``quarantined`` (the file failed restore and was moved aside); the
+    last two leave ``session`` as ``None``.  ``detail`` is the readable
+    reason a coverage ledger shows.
+    """
+
+    status: str
+    detail: str
+    session: Any = None
+    acked_tokens: Dict[str, Dict[str, int]] = field(default_factory=dict)
+
+
+def restore_or_quarantine(
+    path: Union[str, Path], context: str
+) -> RestoredCheckpoint:
+    """Restore the checkpoint at ``path``, or quarantine it if corrupt.
+
+    Any :class:`~repro.core.exceptions.WireFormatError` on restore — a
+    zero-byte or torn file, a digest mismatch, non-finite state — moves
+    the file to ``*.corrupt`` with a report naming ``context`` (who was
+    restoring it, and why) and logs where it went.  A missing file is
+    ``lost``: there is nothing to quarantine.
+    """
+    # Imported here: this package sits below repro.service in the layering.
+    from ..service.session import AggregationSession
+
+    path = Path(path)
+    if not path.exists():
+        return RestoredCheckpoint(
+            STATUS_LOST, f"left no durable checkpoint at {path}"
+        )
+    try:
+        session = AggregationSession.restore(path)
+    except WireFormatError as error:
+        moved, report = quarantine_checkpoint(path, f"{context}: {error}")
+        _logger.error(
+            "%s: %s is corrupt (%s); quarantined to %s (report: %s)",
+            context,
+            path,
+            error,
+            moved,
+            report,
+        )
+        return RestoredCheckpoint(
+            STATUS_QUARANTINED, f"checkpoint quarantined: {error}"
+        )
+    tokens = session.checkpoint_extra.get("acked_tokens", {})
+    return RestoredCheckpoint(
+        STATUS_RECOVERED,
+        f"recovered {session.num_reports} report(s) from {path}",
+        session,
+        (
+            {str(key): dict(value) for key, value in tokens.items()}
+            if isinstance(tokens, dict)
+            else {}
+        ),
+    )

@@ -58,6 +58,7 @@ from ..observability import (
 )
 from ..observability.scrape import MetricsScrapeServer
 from ..protocols.wire import MAX_PAYLOAD_BYTES
+from ..resilience.integrity import restore_or_quarantine
 from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
 from .framing import (
@@ -528,39 +529,21 @@ class CollectionServer:
     def _resume_durable_state(self) -> None:
         """Fold a previous ``state.npz`` back in (crash-restart path).
 
-        A ``state.npz`` that fails restore — zero bytes, torn zip, or an
-        integrity-digest mismatch — is quarantined to ``*.corrupt`` with a
-        readable report and the collector starts empty, rather than
-        refusing to serve: clients hold the idempotency tokens and will
-        replay whatever the lost state contained.
+        A ``state.npz`` that fails restore — zero bytes, torn zip, an
+        integrity-digest mismatch or non-finite state — is quarantined to
+        ``*.corrupt`` with a readable report and the collector starts
+        empty, rather than refusing to serve: clients hold the idempotency
+        tokens and will replay whatever the lost state contained.
         """
         state_path = self._checkpoint_dir / DURABLE_STATE_FILENAME
-        if not state_path.exists():
-            return
-        try:
-            restored = AggregationSession.restore(state_path)
-        except WireFormatError as error:
-            from ..resilience.integrity import quarantine_checkpoint
-
-            quarantined, report = quarantine_checkpoint(
-                state_path, f"durable state failed restore on startup: {error}"
-            )
-            _logger.error(
-                "durable state %s is corrupt (%s); quarantined to %s "
-                "(report: %s); starting empty — clients will replay "
-                "unacknowledged groups",
-                state_path,
-                error,
-                quarantined,
-                report,
-            )
+        loaded = restore_or_quarantine(
+            state_path, "durable state failed restore on startup"
+        )
+        restored = loaded.session
+        if restored is None:
             return
         self._sessions[0].merge(restored)
-        tokens = restored.checkpoint_extra.get("acked_tokens", {})
-        if isinstance(tokens, dict):
-            self._acked_tokens.update(
-                {str(key): dict(value) for key, value in tokens.items()}
-            )
+        self._acked_tokens.update(loaded.acked_tokens)
         metadata = restored.metadata
         self._reports_total = restored.num_reports
         self._frames_total = int(metadata["wire_batches"])
@@ -1280,9 +1263,9 @@ def merge_checkpoints(
 
     ``allow_partial=True`` is the degraded mode: an unreadable or
     integrity-broken shard is quarantined to ``*.corrupt`` (with a
-    readable report next to it) and the merge continues over the healthy
-    shards — at least one must survive.  The default strict mode raises
-    instead, leaving every file in place.
+    readable report next to it), a missing one is skipped, and the merge
+    continues over the healthy shards — at least one must survive.  The
+    default strict mode raises instead, leaving every file in place.
     """
     if isinstance(paths, (str, Path)):
         directory = Path(paths)
@@ -1317,36 +1300,28 @@ def merge_checkpoints(
     merged: Optional[AggregationSession] = None
     quarantined: List[str] = []
     for path in path_list:
-        try:
-            restored = AggregationSession.restore(path)
-        except WireFormatError as error:
-            if allow_partial:
-                from ..resilience.integrity import quarantine_checkpoint
-
-                moved, report = quarantine_checkpoint(
-                    path, f"shard failed restore during merge: {error}"
-                )
-                _logger.error(
-                    "shard checkpoint %s is corrupt (%s); quarantined to "
-                    "%s (report: %s); merging the remaining shards",
-                    path,
-                    error,
-                    moved,
-                    report,
-                )
+        if allow_partial:
+            restored = restore_or_quarantine(
+                path, "shard failed restore during merge"
+            ).session
+            if restored is None:
                 quarantined.append(path.name)
                 continue
-            parent = path.parent
-            siblings = (
-                sorted(entry.name for entry in parent.glob("*.npz"))
-                if parent.is_dir()
-                else []
-            )
-            raise WireFormatError(
-                f"cannot merge shard checkpoint {path}: {error} "
-                f"(checkpoint files present in {parent}: "
-                f"{siblings if siblings else 'none'})"
-            ) from error
+        else:
+            try:
+                restored = AggregationSession.restore(path)
+            except WireFormatError as error:
+                parent = path.parent
+                siblings = (
+                    sorted(entry.name for entry in parent.glob("*.npz"))
+                    if parent.is_dir()
+                    else []
+                )
+                raise WireFormatError(
+                    f"cannot merge shard checkpoint {path}: {error} "
+                    f"(checkpoint files present in {parent}: "
+                    f"{siblings if siblings else 'none'})"
+                ) from error
         merged = restored if merged is None else merged.merge(restored)
     if merged is None:
         raise WireFormatError(

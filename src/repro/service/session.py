@@ -24,7 +24,7 @@ import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -50,6 +50,16 @@ _HEADER_KEY = "header"
 _STATE_PREFIX = "state__"
 
 PathLike = Union[str, Path]
+
+
+def _non_finite_arrays(state: Dict[str, Any]) -> List[str]:
+    """Names of the floating state arrays holding a NaN or an infinity."""
+    return sorted(
+        name
+        for name, value in state.items()
+        if np.asarray(value).dtype.kind in "fc"
+        and not np.isfinite(value).all()
+    )
 
 
 class AggregationSession:
@@ -299,7 +309,10 @@ class AggregationSession:
         ready to ship over a wire (the topology tier's ``STATE`` frames) and
         to hand to :meth:`restore_bytes` on the other side.  ``extra`` is an
         optional JSON-serializable metadata object stored in the header and
-        surfaced as :attr:`checkpoint_extra` after restore.
+        surfaced as :attr:`checkpoint_extra` after restore.  State holding
+        a NaN or an infinity is refused with :class:`AggregationError`, so
+        it never reaches disk or a ``STATE`` answer (and restore refuses
+        such an archive as a :class:`WireFormatError`).
         """
         state = self._accumulator.state_dict()
         header = {
@@ -330,6 +343,12 @@ class AggregationSession:
         state_arrays = {
             key: np.asarray(value) for key, value in state.items()
         }
+        non_finite = _non_finite_arrays(state_arrays)
+        if non_finite:
+            raise AggregationError(
+                f"refusing to checkpoint non-finite accumulator state "
+                f"(NaN or infinity in {non_finite})"
+            )
         # Stamp the header with a SHA-256 over the header itself plus every
         # state array (name, dtype, shape, bytes): np.savez stores members
         # uncompressed, so at-rest corruption that dodges the zip CRC is
@@ -505,6 +524,12 @@ class AggregationSession:
         from ..resilience.integrity import verify_integrity
 
         verify_integrity(header, state, source=path, require=version >= 2)
+        non_finite = _non_finite_arrays(state)
+        if non_finite:
+            raise WireFormatError(
+                f"session checkpoint {path} holds non-finite accumulator "
+                f"state (NaN or infinity in {non_finite})"
+            )
         session = cls(spec, domain)
         session._accumulator.load_state(state)
         counters = header["session"]

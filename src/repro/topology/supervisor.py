@@ -29,7 +29,7 @@ import logging
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -37,18 +37,15 @@ from ..core.domain import Domain
 from ..core.exceptions import (
     CollectionServiceError,
     ProtocolConfigurationError,
-    WireFormatError,
 )
 from ..resilience.coverage import (
-    STATUS_LOST,
     STATUS_OK,
-    STATUS_QUARANTINED,
     STATUS_RECOVERED,
     CollectorCoverage,
     CoverageReport,
 )
 from ..resilience.defaults import WATCH_INTERVAL_SECONDS
-from ..resilience.integrity import quarantine_checkpoint
+from ..resilience.integrity import RestoredCheckpoint, restore_or_quarantine
 from ..server.framing import (
     ERR,
     PULL,
@@ -213,10 +210,10 @@ class TopologySupervisor:
             for index in range(collectors)
         ]
         self._recovered: Dict[str, PulledState] = {}
-        # Collectors whose durable state could NOT be recovered, with the
-        # human-readable reason — "no durable state" or "quarantined: ..."
-        # — feeding straight into finalize's CoverageReport.
-        self._lost: Dict[str, str] = {}
+        # Collectors whose durable state could NOT be recovered (status
+        # lost or quarantined, with the readable reason), feeding straight
+        # into finalize's CoverageReport.
+        self._lost: Dict[str, RestoredCheckpoint] = {}
         # health_check runs in worker threads on the async paths (the
         # checkpoint restore is synchronous disk I/O); the lock keeps two
         # concurrent checks from recovering the same collector twice.
@@ -416,69 +413,28 @@ class TopologySupervisor:
         return await asyncio.to_thread(self.health_check)
 
     def _recover(self, handle: CollectorHandle) -> None:
-        state_path = handle.checkpoint_dir / DURABLE_STATE_FILENAME
-        tokens: Dict[str, Dict[str, int]] = {}
-        session: Optional[AggregationSession] = None
-        if not state_path.exists():
-            # Death before the first durable checkpoint: nothing was ever
-            # acknowledged, so an empty recovered state loses nothing.
-            found = (
-                sorted(
-                    entry.name for entry in handle.checkpoint_dir.iterdir()
-                )
-                if handle.checkpoint_dir.is_dir()
-                else []
-            )
-            _logger.warning(
-                "collector %s left no %s (found: %s); recovering as empty",
-                handle.collector_id,
-                DURABLE_STATE_FILENAME,
-                found if found else "no checkpoint directory",
-            )
-            self._lost[handle.collector_id] = (
-                f"no durable {DURABLE_STATE_FILENAME} "
-                f"(died before its first acknowledged group)"
-            )
-        else:
-            try:
-                session = AggregationSession.restore(state_path)
-            except WireFormatError as error:
-                # Covers zero-byte files, torn zips, and integrity-digest
-                # mismatches (CheckpointIntegrityError subclasses
-                # WireFormatError): quarantine and recover as empty.  The
-                # empty token set makes clients replay every group the
-                # quarantined state held, so the loss is repaired wherever
-                # the clients are still alive to replay.
-                moved, report = quarantine_checkpoint(
-                    state_path,
-                    f"recovery of dead collector {handle.collector_id} "
-                    f"failed: {error}",
-                )
-                _logger.error(
-                    "collector %s left a corrupt %s (%s); quarantined to "
-                    "%s (report: %s); recovering as empty",
-                    handle.collector_id,
-                    DURABLE_STATE_FILENAME,
-                    error,
-                    moved,
-                    report,
-                )
-                self._lost[handle.collector_id] = (
-                    f"checkpoint quarantined: {error}"
-                )
-            else:
-                raw = session.checkpoint_extra.get("acked_tokens", {})
-                tokens = (
-                    {str(key): dict(value) for key, value in raw.items()}
-                    if isinstance(raw, dict)
-                    else {}
-                )
+        # A corrupt state.npz is quarantined and recovered as empty: the
+        # empty token set makes clients replay every group it held, so the
+        # loss is repaired wherever the clients are still alive to replay.
+        # A missing one means death before the first durable checkpoint:
+        # nothing was ever acknowledged, so recovering empty loses nothing.
+        loaded = restore_or_quarantine(
+            handle.checkpoint_dir / DURABLE_STATE_FILENAME,
+            f"recovery of dead collector {handle.collector_id}",
+        )
+        session = loaded.session
         if session is None:
+            _logger.warning(
+                "collector %s: %s; recovering as empty",
+                handle.collector_id,
+                loaded.detail,
+            )
+            self._lost[handle.collector_id] = loaded
             session = AggregationSession(self._spec, self._domain)
         self._recovered[handle.collector_id] = PulledState(
             collector_id=handle.collector_id,
             session=session,
-            acked_tokens=tokens,
+            acked_tokens=loaded.acked_tokens,
         )
 
     def recovered_states(self) -> Dict[str, PulledState]:
@@ -521,7 +477,10 @@ class TopologySupervisor:
     def lost_collectors(self) -> Dict[str, str]:
         """Dead collectors whose durable state could not be recovered
         (recovered-as-empty or quarantined), with the readable reason."""
-        return dict(self._lost)
+        return {
+            collector_id: loaded.detail
+            for collector_id, loaded in self._lost.items()
+        }
 
     async def collect(
         self, *, timeout: float = 15.0, retry=None
@@ -589,12 +548,8 @@ class TopologySupervisor:
         for handle in self._handles:
             collector_id = handle.collector_id
             if collector_id in self._lost:
-                detail = self._lost[collector_id]
-                status = (
-                    STATUS_QUARANTINED
-                    if detail.startswith("checkpoint quarantined")
-                    else STATUS_LOST
-                )
+                loaded = self._lost[collector_id]
+                status, detail = loaded.status, loaded.detail
             elif handle.status == "dead":
                 status, detail = STATUS_RECOVERED, "merged from durable state"
             else:

@@ -1,9 +1,9 @@
 """Kernel-backend registry: conformance matrix, selection order, fallback.
 
 Backend choice is a pure performance knob — every backend must produce
-*identical* integer support counts and popcount/parity results, and a bad
-choice (unknown name, missing optional dependency) must degrade to a
-working backend with a logged warning, never break an aggregation.
+*identical* integer support counts and popcount/parity results, and an
+unknown backend name must degrade to a working backend with a logged
+warning, never break an aggregation.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import pytest
 from repro.core import bitops
 from repro.core.backends import (
     BACKEND_ENV_VAR,
-    HAS_NUMBA,
-    NumbaBackend,
     NumpyBackend,
     ThreadedBackend,
     available_backends,
@@ -49,8 +47,6 @@ def _conformance_backends():
     pooled = ThreadedBackend(max_workers=3)
     pooled.min_work_elements = 1  # force the pool even for tiny inputs
     backends.append(pooled)
-    if HAS_NUMBA:  # pragma: no cover - optional-deps CI job only
-        backends.append(NumbaBackend())
     return backends
 
 
@@ -126,7 +122,7 @@ class TestConformanceMatrix:
 
 class TestSelectionOrder:
     def test_registry_contents(self):
-        assert registered_backends() == ("numba", "numpy", "threaded")
+        assert registered_backends() == ("numpy", "threaded")
         assert "numpy" in available_backends()
         assert "threaded" in available_backends()
 
@@ -178,23 +174,6 @@ class TestGracefulFallback:
             "definitely-not-a-backend" in record.message
             for record in caplog.records
         )
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed: no fallback")
-    def test_missing_numba_warns_and_falls_back(self, monkeypatch, caplog):
-        from repro.core import backends as module
-
-        monkeypatch.setattr(module, "_WARNED", set())
-        with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-            backend = resolve_backend("numba")
-        assert backend.name in ("numpy", "threaded")
-        assert any("not available" in record.message for record in caplog.records)
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed: no fallback")
-    def test_missing_numba_is_unavailable_not_unknown(self):
-        assert "numba" in registered_backends()
-        assert "numba" not in available_backends()
-        with pytest.raises(ProtocolConfigurationError, match="not available"):
-            get_backend("numba")
 
     def test_fallback_warning_fires_once_per_name(self, monkeypatch, caplog):
         from repro.core import backends as module

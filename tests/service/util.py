@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import struct
 from typing import Dict, List, Sequence, Tuple
 
@@ -121,3 +123,28 @@ def state_bytes(session) -> Dict[str, object]:
         array = np.asarray(value)
         frozen[key] = (str(array.dtype), array.shape, array.tobytes())
     return frozen
+
+
+def write_non_finite_checkpoint(session, path, *, extra=None, value=np.nan):
+    """Write ``session`` to ``path`` with every float state array set to
+    ``value``, re-stamped so the digest matches: only the finiteness check
+    on restore can tell this checkpoint from a healthy one."""
+    from repro.resilience.integrity import embed_integrity
+
+    with np.load(io.BytesIO(session.checkpoint_bytes(extra=extra))) as archive:
+        header = json.loads(str(archive["header"][()]))
+        state = {
+            name[len("state__"):]: archive[name]
+            for name in archive.files
+            if name.startswith("state__")
+        }
+    for name, array in state.items():
+        if array.dtype.kind == "f":
+            state[name] = np.full_like(array, value)
+    header = embed_integrity(header, state)
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            header=np.array(json.dumps(header)),
+            **{"state__" + name: array for name, array in state.items()},
+        )
